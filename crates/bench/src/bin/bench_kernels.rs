@@ -38,9 +38,10 @@
 
 use epim::core::{ConvShape, Epitome, EpitomeShape, EpitomeSpec};
 use epim::models::lower::NetworkWeights;
+use epim::models::network::Network;
 use epim::models::zoo;
 use epim::pim::datapath::{AnalogModel, DataPath};
-use epim::runtime::{Engine, EngineConfig, NetworkEngine, PlanCache};
+use epim::runtime::{MultiEngine, NetworkPlan, PlanCache, TenantConfig, TenantId};
 use epim::tensor::ops::gemm::reference_matmul;
 use epim::tensor::ops::{
     add_relu_slice, add_slice, conv2d, conv2d_into, conv2d_out_dims, conv2d_ref, global_avg_pool,
@@ -90,6 +91,42 @@ fn max_abs_diff(a: &[f32], b: &[f32]) -> f64 {
         .zip(b)
         .map(|(x, y)| (x - y).abs() as f64)
         .fold(0.0, f64::max)
+}
+
+/// The tenant config every serving-burst entry times: one burst of 8 is
+/// one group, with no batch window.
+fn burst_config() -> TenantConfig {
+    TenantConfig {
+        max_batch: 8,
+        batch_window: std::time::Duration::ZERO,
+        ..TenantConfig::default()
+    }
+}
+
+/// A one-tenant fleet serving `net` (lowered for `input_hw`, optimized)
+/// under [`burst_config`].
+fn burst_fleet(
+    cache: &PlanCache,
+    net: &Network,
+    weights: &NetworkWeights,
+    input_hw: (usize, usize),
+    analog: AnalogModel,
+) -> (MultiEngine, TenantId) {
+    let mut builder = MultiEngine::builder(cache);
+    let id = builder
+        .register("net", net, weights, input_hw, true, analog, burst_config())
+        .expect("tenant registers");
+    (builder.build().expect("engine builds"), id)
+}
+
+/// Serves `xs` as one burst through tenant `id`, in order.
+fn serve_burst(engine: &MultiEngine, id: TenantId, xs: &[Tensor]) -> Vec<Tensor> {
+    engine
+        .infer_many(id, xs.to_vec())
+        .expect("engine accepts the burst")
+        .into_iter()
+        .map(|res| res.expect("inference succeeds").output)
+        .collect()
 }
 
 fn bench_gemm(entries: &mut Vec<Entry>, reps: usize, sizes: &[usize]) {
@@ -262,8 +299,9 @@ fn bench_reconstruct(entries: &mut Vec<Entry>, reps: usize) {
 }
 
 /// The serving-runtime layer: batched data-path execution and the engine's
-/// micro-batcher vs per-request execution on the same inputs. Outputs must
-/// be bit-identical (batching is a pure restructuring), so `max_abs_diff`
+/// micro-batcher (serving the layer as a one-layer network tenant) vs
+/// per-request execution on the same inputs. Outputs must be
+/// bit-identical (batching is a pure restructuring), so `max_abs_diff`
 /// doubles as a correctness gate here.
 fn bench_runtime(entries: &mut Vec<Entry>, reps: usize) {
     let spec = EpitomeSpec::new(ConvShape::new(32, 16, 3, 3), EpitomeShape::new(16, 8, 2, 2))
@@ -312,32 +350,17 @@ fn bench_runtime(entries: &mut Vec<Entry>, reps: usize) {
     // The whole serving engine (queue + batcher thread + plan cache) vs a
     // bare sequential loop over the same data path.
     let cache = PlanCache::new();
-    let engine = Engine::with_cache(
-        &cache,
-        &epi,
-        cfg,
-        true,
-        a9adc8,
-        EngineConfig {
-            max_batch: 8,
-            batch_window: std::time::Duration::ZERO,
-            ..EngineConfig::default()
-        },
-    )
-    .expect("engine builds");
+    let (net, weights) = zoo::epitome_layer_network(&epi, (16, 16));
+    let (engine, id) = burst_fleet(&cache, &net, &weights, (16, 16), a9adc8);
+    let dp = cache
+        .datapath(&epi, cfg, true, a9adc8)
+        .expect("data path builds");
     let (baseline_ms, seq) = time_best(reps, || {
         refs.iter()
-            .map(|x| engine.datapath().execute(x).expect("executes").0)
+            .map(|x| dp.execute(x).expect("executes").0)
             .collect::<Vec<_>>()
     });
-    let (optimized_ms, served) = time_best(reps, || {
-        engine
-            .infer_many(xs.clone())
-            .expect("engine accepts the burst")
-            .into_iter()
-            .map(|res| res.expect("inference succeeds").output)
-            .collect::<Vec<_>>()
-    });
+    let (optimized_ms, served) = time_best(reps, || serve_burst(&engine, id, &xs));
     let diff = seq
         .iter()
         .zip(&served)
@@ -404,20 +427,22 @@ fn bench_conv_batched(entries: &mut Vec<Entry>, reps: usize) {
     }
 }
 
-/// Whole-network pipelined serving: a burst of 8 requests through the
-/// `NetworkEngine` (lower -> plan -> serve) vs sequential per-stage
+/// Whole-network pipelined serving: a burst of 8 requests through a
+/// one-tenant fleet (lower -> plan -> serve) vs sequential per-stage
 /// reference execution of the same requests. Outputs must be bit-identical
 /// (`max_abs_diff` exactly 0 is the correctness gate).
 ///
 /// Emits three entries from one interleaved measurement so they stay
 /// directly comparable under machine load:
-/// - `network_pipeline_resnet_burst8`: the engine pinned to
-///   `optimize_program: false` — the pipelining win alone;
-/// - `network_fused_resnet_burst8`: the default (fused) engine — fused
-///   epilogues, folded stages and the liveness-planned arena on top;
-/// - `network_arena_peak_mb_burst8`: the arena's peak activation bytes vs
-///   the old exact-size pool's high-water mark (deterministic bytes, not
-///   timings; the "speedup" is the memory shrink factor).
+/// - `network_pipeline_resnet_burst8`: a tenant serving the unoptimized
+///   program — the pipelining win alone;
+/// - `network_fused_resnet_burst8`: a tenant serving the optimized
+///   program — fused epilogues, folded stages and the liveness-planned
+///   arena on top;
+/// - `network_arena_peak_mb_burst8`: the fused arena's peak activation
+///   bytes vs keeping one exact-size buffer per unoptimized stage plus the
+///   stacked source resident (deterministic bytes, not timings; the
+///   "speedup" is the memory shrink factor).
 fn bench_network(entries: &mut Vec<Entry>, reps: usize) {
     // The zoo's tiny ResNet (stem 8, inner width 8, 10 classes) is the
     // exact backbone+spec this entry has always timed.
@@ -446,48 +471,40 @@ fn bench_network(entries: &mut Vec<Entry>, reps: usize) {
             .collect::<Vec<_>>()
     });
 
-    let build = |optimize_program: bool| {
-        let cache = PlanCache::new();
-        cache.warm_network(&net).expect("cache warms");
-        NetworkEngine::new(
-            &cache,
+    let cache = PlanCache::new();
+    cache.warm_network(&net).expect("cache warms");
+    let mut builder = MultiEngine::builder(&cache);
+    let raw_plan = NetworkPlan::compile(&cache, program.clone(), &weights, true, analog)
+        .expect("plan compiles");
+    let raw = builder
+        .register_plan("raw", std::sync::Arc::new(raw_plan), burst_config())
+        .expect("tenant registers");
+    let fused = builder
+        .register(
+            "fused",
             &net,
             &weights,
             (16, 16),
             true,
             analog,
-            EngineConfig {
-                max_batch: 8,
-                batch_window: std::time::Duration::ZERO,
-                optimize_program,
-                ..EngineConfig::default()
-            },
+            burst_config(),
         )
-        .expect("engine builds")
-    };
-    let raw = build(false);
-    let fused = build(true);
-    let serve = |engine: &NetworkEngine| {
-        engine
-            .infer_many(xs.clone())
-            .expect("engine accepts the burst")
-            .into_iter()
-            .map(|res| res.expect("inference succeeds").output)
-            .collect::<Vec<_>>()
-    };
-    // Alternate the two engines within one loop: a load spike hits both
+        .expect("tenant registers");
+    let engine = builder.build().expect("engine builds");
+    let serve = |id| serve_burst(&engine, id, &xs);
+    // Alternate the two tenants within one loop: a load spike hits both
     // the same way instead of skewing whichever happened to run under it.
     // The high repetition count is what separates the ~10% fusion win
     // from worker-wakeup jitter (each serve is only ~0.4 ms).
-    let mut raw_out = serve(&raw);
-    let mut fused_out = serve(&fused);
+    let mut raw_out = serve(raw);
+    let mut fused_out = serve(fused);
     let (mut raw_ms, mut fused_ms) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..25 * reps {
         let t0 = Instant::now();
-        raw_out = serve(&raw);
+        raw_out = serve(raw);
         raw_ms = raw_ms.min(t0.elapsed().as_secs_f64() * 1e3);
         let t0 = Instant::now();
-        fused_out = serve(&fused);
+        fused_out = serve(fused);
         fused_ms = fused_ms.min(t0.elapsed().as_secs_f64() * 1e3);
     }
     let diff_vs_seq = |served: &[Tensor]| {
@@ -511,13 +528,22 @@ fn bench_network(entries: &mut Vec<Entry>, reps: usize) {
         max_abs_diff: diff_vs_seq(&fused_out),
     });
 
-    let stats = fused.stats();
+    // One resident buffer per unoptimized stage activation plus the
+    // stacked source, for a full group.
+    let resident_units = program.input_shape().iter().product::<usize>()
+        + program
+            .stages()
+            .iter()
+            .map(|s| s.out_shape.iter().product::<usize>())
+            .sum::<usize>();
+    let resident_bytes = (resident_units * burst_config().max_batch * 4) as u64;
+    let arena_bytes = engine.tenant_stats(fused).expect("own tenant").arena_bytes;
     let to_mb = |bytes: u64| bytes as f64 / (1024.0 * 1024.0);
     entries.push(Entry {
         name: "network_arena_peak_mb_burst8".to_string(),
-        baseline_ms: to_mb(stats.legacy_pool_bytes),
-        optimized_ms: to_mb(stats.arena_bytes),
-        speedup: stats.legacy_pool_bytes as f64 / stats.arena_bytes as f64,
+        baseline_ms: to_mb(resident_bytes),
+        optimized_ms: to_mb(arena_bytes),
+        speedup: resident_bytes as f64 / arena_bytes as f64,
         max_abs_diff: 0.0,
     });
 }
@@ -642,28 +668,8 @@ fn bench_tracing(entries: &mut Vec<Entry>, reps: usize) {
 
     let cache = PlanCache::new();
     cache.warm_network(&net).expect("cache warms");
-    let engine = NetworkEngine::new(
-        &cache,
-        &net,
-        &weights,
-        (16, 16),
-        true,
-        analog,
-        EngineConfig {
-            max_batch: 8,
-            batch_window: std::time::Duration::ZERO,
-            ..EngineConfig::default()
-        },
-    )
-    .expect("engine builds");
-    let serve = || {
-        engine
-            .infer_many(xs.clone())
-            .expect("engine accepts the burst")
-            .into_iter()
-            .map(|res| res.expect("inference succeeds").output)
-            .collect::<Vec<_>>()
-    };
+    let (engine, id) = burst_fleet(&cache, &net, &weights, (16, 16), analog);
+    let serve = || serve_burst(&engine, id, &xs);
     // Alternate enabled/disabled serves in one loop so a load spike hits
     // both modes the same way (same discipline as `bench_network`).
     epim::obs::set_enabled(true);
@@ -733,28 +739,8 @@ fn bench_faults(entries: &mut Vec<Entry>, reps: usize) {
 
     let cache = PlanCache::new();
     cache.warm_network(&net).expect("cache warms");
-    let engine = NetworkEngine::new(
-        &cache,
-        &net,
-        &weights,
-        (16, 16),
-        true,
-        analog,
-        EngineConfig {
-            max_batch: 8,
-            batch_window: std::time::Duration::ZERO,
-            ..EngineConfig::default()
-        },
-    )
-    .expect("engine builds");
-    let serve = || {
-        engine
-            .infer_many(xs.clone())
-            .expect("engine accepts the burst")
-            .into_iter()
-            .map(|res| res.expect("inference succeeds").output)
-            .collect::<Vec<_>>()
-    };
+    let (engine, id) = burst_fleet(&cache, &net, &weights, (16, 16), analog);
+    let serve = || serve_burst(&engine, id, &xs);
     let arm = || {
         let mut plan = FaultPlan::new(42);
         for point in ALL_POINTS {
@@ -800,7 +786,6 @@ fn bench_faults(entries: &mut Vec<Entry>, reps: usize) {
 /// bursts. Outputs must be bit-identical per tenant (`max_abs_diff`
 /// exactly 0 is the correctness gate).
 fn bench_tenancy(entries: &mut Vec<Entry>, reps: usize) {
-    use epim::runtime::{MultiEngine, TenantConfig};
     let (net_a, _) = zoo::tiny_epitome_network(8, 8, 10).expect("legal spec");
     let (net_b, _) = zoo::tiny_epitome_network(8, 4, 10).expect("legal spec");
     let weights_a = NetworkWeights::random(&net_a, 7).expect("weights build");
@@ -840,11 +825,7 @@ fn bench_tenancy(entries: &mut Vec<Entry>, reps: usize) {
     });
 
     let cache = PlanCache::new();
-    let tenant_cfg = TenantConfig {
-        max_batch: 8,
-        batch_window: std::time::Duration::ZERO,
-        ..TenantConfig::default()
-    };
+    let tenant_cfg = burst_config();
     let mut builder = MultiEngine::builder(&cache).workers(2);
     let id_a = builder
         .register("a", &net_a, &weights_a, (16, 16), true, analog, tenant_cfg)

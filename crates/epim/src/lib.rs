@@ -14,7 +14,7 @@
 //! | [`search`] | `epim-search` | Algorithm 1 evolutionary layer-wise design |
 //! | [`models`] | `epim-models` | ResNet-50/101 inventories, network simulation, lowering to executable programs, accuracy surrogate, small-scale training |
 //! | [`prune`] | `epim-prune` | the PIM-Prune baseline |
-//! | [`runtime`] | `epim-runtime` | batched inference serving: scheduler core with bounded queues/flow control, single-layer and whole-network engines, plan cache, runtime stats, the unified `InferService` surface |
+//! | [`runtime`] | `epim-runtime` | batched inference serving: one multi-tenant engine over compiled network plans (a single layer is a one-layer network), bounded queues/flow control, plan cache, runtime stats |
 //! | [`serve`] | `epim-serve` | network serving: TCP wire protocol, session threads, fleet config, pipelining client, load generator |
 //! | [`obs`] | `epim-obs` | observability: lock-free trace ring with chrome://tracing export, log-linear latency histograms, Prometheus text exposition |
 //! | [`tensor`] | `epim-tensor` | the ND tensor / NN substrate everything is built on |
@@ -79,11 +79,11 @@ pub mod runtime {
 }
 
 /// Network serving over TCP: wire protocol, server, client, fleet
-/// config (re-export of `epim-serve`), plus the runtime's unified
-/// submission surface ([`serve::InferService`], [`serve::InferRequest`],
-/// [`serve::Pending`]) so server-facing code imports one module.
+/// config (re-export of `epim-serve`), plus the runtime's submission
+/// types ([`serve::InferRequest`], [`serve::Pending`]) so server-facing
+/// code imports one module.
 pub mod serve {
-    pub use epim_runtime::{InferRequest, InferService, Inference, Pending, CLIENT_NONE};
+    pub use epim_runtime::{InferRequest, Inference, Pending, CLIENT_NONE};
     pub use epim_serve::*;
 }
 

@@ -3,14 +3,17 @@
 //! Every integration test, serving example and bench used to hand-roll
 //! its own "tiny ResNet" layer inventory; multi-tenant serving needs
 //! *several distinct* small networks, so the construction lives here
-//! once. All zoo backbones run at **16×16 input** (stem stride 2 to 8×8,
+//! once. The tiny ResNets run at **16×16 input** (stem stride 2 to 8×8,
 //! pooled entry to 4×4) and follow the ResNet naming convention
 //! [`crate::lower`] recognizes, so they lower, cost and serve exactly
-//! like the full-size inventories.
+//! like the full-size inventories. [`epitome_layer_network`] wraps a
+//! single epitome layer as a one-stage network, which is how one layer
+//! is served.
 
+use crate::lower::{LayerWeights, NetworkWeights};
 use crate::network::{Network, OperatorChoice};
 use crate::resnet::{Backbone, LayerInfo};
-use epim_core::{EpitomeDesigner, EpitomeError, EpitomeSpec};
+use epim_core::{Epitome, EpitomeDesigner, EpitomeError, EpitomeSpec};
 
 fn layer(name: &str, conv: epim_core::ConvShape, res: usize) -> LayerInfo {
     LayerInfo {
@@ -83,6 +86,33 @@ pub fn tiny_epitome_network(
     Ok((net, spec))
 }
 
+/// One epitome layer as a network: a one-layer plain chain whose only
+/// layer is `epitome`'s convolution at stride 1 with "same" padding over
+/// `h × w` inputs, with `epitome` bound as its weights. It lowers to
+/// exactly one epitome stage (odd kernels only: an even kernel has no
+/// same padding, so lowering rejects it).
+pub fn epitome_layer_network(
+    epitome: &Epitome,
+    (h, w): (usize, usize),
+) -> (Network, NetworkWeights) {
+    let spec = epitome.spec();
+    let backbone = Backbone {
+        name: format!("epitome-layer-{h}x{w}"),
+        layers: vec![LayerInfo {
+            name: "epitome".to_string(),
+            conv: spec.conv(),
+            out_h: h,
+            out_w: w,
+        }],
+    };
+    let mut net = Network::baseline(backbone);
+    net.set_choice(0, OperatorChoice::Epitome(spec.clone()))
+        .expect("a spec matches its own convolution");
+    let mut weights = NetworkWeights::default();
+    weights.set(0, LayerWeights::Epitome(epitome.clone()));
+    (net, weights)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,6 +127,29 @@ mod tests {
         assert_eq!(prog.output_shape(), &[10]);
         let prog = Network::baseline(b).lower(16, 16).unwrap();
         assert_eq!(prog.output_shape(), &[12]);
+    }
+
+    #[test]
+    fn epitome_layer_network_lowers_to_one_same_padded_stage() {
+        use crate::lower::StageOp;
+        use epim_core::{ConvShape, EpitomeShape};
+        let spec =
+            EpitomeSpec::new(ConvShape::new(8, 4, 3, 3), EpitomeShape::new(4, 4, 2, 2)).unwrap();
+        let epi =
+            Epitome::from_tensor(spec.clone(), epim_tensor::Tensor::zeros(&[4, 4, 2, 2])).unwrap();
+        let (net, weights) = epitome_layer_network(&epi, (8, 6));
+        let prog = net.lower(8, 6).unwrap();
+        assert_eq!(prog.input_shape(), &[4, 8, 6]);
+        assert_eq!(prog.output_shape(), &[8, 8, 6]);
+        let [stage] = prog.stages() else {
+            panic!("one stage expected, got {}", prog.stages().len());
+        };
+        let StageOp::Epitome { spec: s, cfg, .. } = &stage.op else {
+            panic!("expected an epitome stage, got {:?}", stage.op);
+        };
+        assert_eq!(s, &spec);
+        assert_eq!((cfg.stride, cfg.padding), (1, 1));
+        assert!(weights.epitome(0, &spec, "epitome").is_ok());
     }
 
     #[test]

@@ -119,8 +119,6 @@ pub enum StageOpKind {
     Linear = 6,
     /// Residual addition.
     Add = 7,
-    /// A whole single-layer data-path execution.
-    DataPath = 8,
 }
 
 impl StageOpKind {
@@ -133,7 +131,6 @@ impl StageOpKind {
             5 => StageOpKind::GlobalAvgPool,
             6 => StageOpKind::Linear,
             7 => StageOpKind::Add,
-            8 => StageOpKind::DataPath,
             _ => StageOpKind::Other,
         }
     }
@@ -149,7 +146,6 @@ impl StageOpKind {
             StageOpKind::GlobalAvgPool => "global_avg_pool",
             StageOpKind::Linear => "linear",
             StageOpKind::Add => "add",
-            StageOpKind::DataPath => "datapath",
         }
     }
 }

@@ -38,9 +38,9 @@ pub struct PlanCacheStats {
 /// A thread-safe memo table `EpitomeSpec -> Arc<CompiledPlan>`.
 ///
 /// `PlanCache` is a cheaply cloneable *handle*: clones share one
-/// underlying table (and its hit/miss counters), which is how engines keep
-/// a view of the cache they were built from and surface its counters in
-/// their `RuntimeStats`.
+/// underlying table (and its hit/miss counters), which is how an engine
+/// keeps a view of the cache it was built from and surfaces its counters
+/// in its `RuntimeStats`.
 ///
 /// # Example
 ///

@@ -22,9 +22,8 @@ pub enum RuntimeError {
     /// overloads) are per-tenant: only the named tenant's traffic was
     /// affected.
     Overloaded {
-        /// The overloaded tenant's name (`None` for the anonymous
-        /// single-tenant engines).
-        tenant: Option<String>,
+        /// The overloaded tenant's name.
+        tenant: String,
         /// The queue capacity that was exhausted.
         capacity: usize,
     },
@@ -110,16 +109,10 @@ impl fmt::Display for RuntimeError {
             RuntimeError::ExecutionPanicked => {
                 write!(f, "batch execution panicked; request not completed")
             }
-            RuntimeError::Overloaded { tenant, capacity } => match tenant {
-                Some(name) => write!(
-                    f,
-                    "request shed: tenant {name:?} submission queue full ({capacity} pending)"
-                ),
-                None => write!(
-                    f,
-                    "request shed: submission queue full ({capacity} pending)"
-                ),
-            },
+            RuntimeError::Overloaded { tenant, capacity } => write!(
+                f,
+                "request shed: tenant {tenant:?} submission queue full ({capacity} pending)"
+            ),
             RuntimeError::UnknownTenant { id } => {
                 write!(
                     f,
@@ -193,14 +186,10 @@ mod tests {
             .to_string()
             .contains("shutting down"));
         let e = RuntimeError::Overloaded {
-            tenant: Some("resnet-a".into()),
+            tenant: "resnet-a".into(),
             capacity: 4,
         };
         assert!(e.to_string().contains("resnet-a"));
-        let e = RuntimeError::Overloaded {
-            tenant: None,
-            capacity: 4,
-        };
         assert!(e.to_string().contains("queue full"));
         assert!(RuntimeError::UnknownTenant { id: 7 }
             .to_string()

@@ -1,6 +1,6 @@
-//! Whole-network serving: a [`NetworkPlan`] compiled from an
-//! `epim_models` [`Network`] and the [`NetworkEngine`] that serves it
-//! behind one submission queue.
+//! Whole-network execution: a [`NetworkPlan`] compiled from a lowered
+//! `epim_models` [`NetworkProgram`], the one thing the serving scheduler
+//! executes.
 //!
 //! The plan is the runtime half of the compile pipeline: `Network::lower`
 //! produces the weight-free [`NetworkProgram`],
@@ -8,16 +8,14 @@
 //! stages, and [`NetworkPlan::compile`] binds weights to the result,
 //! resolves **every epitome stage through the [`PlanCache`]** (one
 //! compiled plan per distinct spec, shared across layers, networks and
-//! engines — warming the cache first via [`PlanCache::warm_network`]
+//! tenants — warming the cache first via [`PlanCache::warm_network`]
 //! makes compilation miss-free), and computes the **liveness-planned
 //! activation arena** ([`ArenaPlan`]): one static layout assigning every
 //! activation (and the im2col scratch of every dense convolution) an
 //! offset in a single allocation, with lifetimes-disjoint activations
 //! sharing memory. Steady-state serving leases one whole arena per
-//! in-flight group — no per-stage allocation, no buffer-pool resize
-//! churn, and a peak footprint strictly below the old exact-size pool's
-//! high-water mark (both reported in
-//! [`RuntimeStats::arena_bytes`] / [`RuntimeStats::legacy_pool_bytes`]).
+//! in-flight group — no per-stage allocation — and reports its peak
+//! footprint in [`crate::RuntimeStats::arena_bytes`].
 //!
 //! Execution stacks a whole request group into the arena's source slot
 //! and streams it through the stages: epitome stages run on the batched
@@ -33,14 +31,9 @@
 //! keep that true) — with the [`DataPathStats`] rollup equal to the
 //! per-request sum.
 
-use crate::scheduler::{GroupExecutor, Scheduler};
 use crate::stats::StageMeta;
-use crate::{
-    EngineConfig, InferRequest, InferService, Inference, Pending, PlanCache, RuntimeError,
-    RuntimeStats,
-};
+use crate::{PlanCache, RuntimeError};
 use epim_models::lower::{NetworkProgram, NetworkWeights, StageInput, StageOp};
-use epim_models::network::Network;
 use epim_models::optimize::{ArenaPlan, ArenaSlot};
 use epim_obs::trace;
 use epim_pim::datapath::{AnalogModel, DataPath, DataPathStats};
@@ -50,7 +43,7 @@ use epim_tensor::ops::{
 };
 use epim_tensor::Tensor;
 use std::ops::Range;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// One executable stage: the program op with its weights bound.
@@ -104,55 +97,34 @@ impl PlannedOp {
 /// scheduler's pipeline depth.
 const ARENA_RETAIN: usize = 8;
 
-/// A whole `Network` compiled for serving: optimized program + bound
-/// weights + per-stage data paths + the static activation arena,
-/// shareable (behind an [`Arc`]) across engines.
+/// A whole network compiled for serving: program + bound weights +
+/// per-stage data paths + the static activation arena, shareable (behind
+/// an [`std::sync::Arc`]) across tenants.
 pub struct NetworkPlan {
     program: NetworkProgram,
     ops: Vec<PlannedOp>,
     arena: ArenaPlan,
     /// Whole activation arenas leased per group execution.
     arenas: Mutex<Vec<Vec<f32>>>,
-    /// Per-image f32 units the pre-arena exact-size buffer pool kept live
-    /// (every unoptimized stage activation plus the stacked source) — the
-    /// "before" of the arena metric.
-    legacy_units: usize,
 }
 
 impl NetworkPlan {
-    /// Lowers `network` for `input_h × input_w` inputs, runs the
-    /// graph-fusion pass when `optimize` is set (fused ReLU epilogues and
-    /// identity folds — bit-identity-safe by construction), binds
-    /// `weights`, resolves every epitome stage through `cache` (layers
+    /// Binds `weights` to `program` (typically `Network::lower(..)` then
+    /// [`NetworkProgram::optimize`]; the unoptimized program serves the
+    /// same bits), resolves every epitome stage through `cache` (layers
     /// sharing a spec share one compiled plan; a pre-warmed cache
     /// compiles nothing) and plans the activation arena.
     ///
     /// # Errors
     ///
-    /// Propagates lowering errors (unroutable inventory), weight-binding
-    /// mismatches and plan compilation failures.
+    /// Propagates weight-binding mismatches and plan compilation failures.
     pub fn compile(
         cache: &PlanCache,
-        network: &Network,
+        program: NetworkProgram,
         weights: &NetworkWeights,
-        (input_h, input_w): (usize, usize),
         wrapping_enabled: bool,
         analog: AnalogModel,
-        optimize: bool,
     ) -> Result<Self, RuntimeError> {
-        let raw = network
-            .lower(input_h, input_w)
-            .map_err(|e| RuntimeError::config(format!("lowering failed: {e}")))?;
-        // What the old exact-size pool's high-water mark was: one buffer
-        // per (unoptimized) stage plus the stacked source, all resident.
-        let legacy_units = raw.input_shape().iter().product::<usize>()
-            + raw
-                .stages()
-                .iter()
-                .map(|s| s.out_shape.iter().product::<usize>())
-                .sum::<usize>();
-        let program = if optimize { raw.optimize() } else { raw };
-
         let mut ops = Vec::with_capacity(program.stages().len());
         let mut scratch = Vec::with_capacity(program.stages().len());
         for stage in program.stages() {
@@ -209,12 +181,10 @@ impl NetworkPlan {
             ops,
             arena,
             arenas: Mutex::new(Vec::new()),
-            legacy_units,
         })
     }
 
-    /// The program this plan executes (post-optimization when the plan
-    /// was compiled with the pass enabled).
+    /// The program this plan executes.
     pub fn program(&self) -> &NetworkProgram {
         &self.program
     }
@@ -229,16 +199,10 @@ impl NetworkPlan {
         (self.arena.total * images * std::mem::size_of::<f32>()) as u64
     }
 
-    /// What the pre-arena exact-size buffer pool kept resident for the
-    /// same group — the "before" of the arena optimization.
-    pub fn legacy_pool_bytes(&self, images: usize) -> u64 {
-        (self.legacy_units * images * std::mem::size_of::<f32>()) as u64
-    }
-
     /// Pre-allocates one arena for groups of up to `images` stacked
     /// images, so the first served groups do not pay the allocation.
-    /// Called by the engines with their `max_batch`.
-    pub fn warm(&self, images: usize) {
+    /// The scheduler calls it with each tenant's `max_batch`.
+    pub(crate) fn warm(&self, images: usize) {
         let arena = self.lease_arena(self.arena.total * images);
         self.return_arena(arena);
     }
@@ -561,184 +525,5 @@ fn stage_views<'a>(
             .map(|r| std::slice::from_raw_parts(ptr.add(r.start).cast_const(), r.end - r.start))
             .collect();
         (o, s, rs)
-    }
-}
-
-/// Adapter: a shared network plan as a scheduler executor.
-pub(crate) struct PlanExecutor {
-    pub(crate) plan: Arc<NetworkPlan>,
-}
-
-impl GroupExecutor for PlanExecutor {
-    fn execute_batch(
-        &self,
-        tenant: u32,
-        inputs: &[&Tensor],
-    ) -> Result<(Vec<Tensor>, DataPathStats, Vec<u64>), RuntimeError> {
-        self.plan.run(inputs, tenant)
-    }
-
-    fn execute_one(
-        &self,
-        tenant: u32,
-        input: &Tensor,
-    ) -> Result<(Tensor, DataPathStats), RuntimeError> {
-        let (mut outs, stats, _) = self.plan.run(&[input], tenant)?;
-        Ok((outs.pop().expect("one output"), stats))
-    }
-
-    fn stage_meta(&self) -> Vec<StageMeta> {
-        self.plan.stage_meta()
-    }
-}
-
-/// A serving engine for a whole epitome-compressed network: one submission
-/// queue, shape-grouped micro-batching, and pipelined execution of the
-/// compiled [`NetworkPlan`] — built on the same scheduler core as the
-/// single-layer [`crate::Engine`].
-///
-/// # Example
-///
-/// ```no_run
-/// use epim_models::lower::NetworkWeights;
-/// use epim_models::network::Network;
-/// use epim_models::resnet::resnet50;
-/// use epim_pim::datapath::AnalogModel;
-/// use epim_runtime::{EngineConfig, NetworkEngine, PlanCache};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let net = Network::baseline(resnet50());
-/// let weights = NetworkWeights::random(&net, 1)?;
-/// let cache = PlanCache::new();
-/// cache.warm_network(&net)?; // compile every epitome plan up front
-/// let engine = NetworkEngine::new(
-///     &cache, &net, &weights, (224, 224), true, AnalogModel::ideal(),
-///     EngineConfig::default(),
-/// )?;
-/// # Ok(())
-/// # }
-/// ```
-pub struct NetworkEngine {
-    scheduler: Scheduler<PlanExecutor>,
-    cache: PlanCache,
-    /// The group size the arena metrics are reported for.
-    max_batch: usize,
-}
-
-impl NetworkEngine {
-    /// Compiles `network` (see [`NetworkPlan::compile`]; the graph-fusion
-    /// pass runs unless [`EngineConfig::optimize_program`] is cleared)
-    /// and spawns the serving scheduler. The engine keeps a handle to
-    /// `cache` and reports its counters in [`RuntimeStats::plan_cache`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates compilation errors and rejects an invalid
-    /// [`EngineConfig`].
-    pub fn new(
-        cache: &PlanCache,
-        network: &Network,
-        weights: &NetworkWeights,
-        input_hw: (usize, usize),
-        wrapping_enabled: bool,
-        analog: AnalogModel,
-        config: EngineConfig,
-    ) -> Result<Self, RuntimeError> {
-        let plan = Arc::new(NetworkPlan::compile(
-            cache,
-            network,
-            weights,
-            input_hw,
-            wrapping_enabled,
-            analog,
-            config.optimize_program,
-        )?);
-        Self::from_plan(plan, cache, config)
-    }
-
-    /// Spawns a serving engine around an already-compiled (possibly
-    /// shared) plan.
-    ///
-    /// # Errors
-    ///
-    /// Rejects an invalid [`EngineConfig`].
-    pub fn from_plan(
-        plan: Arc<NetworkPlan>,
-        cache: &PlanCache,
-        config: EngineConfig,
-    ) -> Result<Self, RuntimeError> {
-        let max_batch = config.max_batch.max(1);
-        plan.warm(max_batch);
-        let scheduler = Scheduler::single(PlanExecutor { plan }, config)?;
-        Ok(NetworkEngine {
-            scheduler,
-            cache: cache.clone(),
-            max_batch,
-        })
-    }
-
-    /// The compiled plan this engine serves.
-    pub fn plan(&self) -> &Arc<NetworkPlan> {
-        &self.scheduler.executor(0).plan
-    }
-
-    /// Runs one whole-network inference (input `(N, C, H, W)` matching the
-    /// program input shape), blocking until the pipelined execution
-    /// completes. Concurrent callers coalesce into stacked groups.
-    /// Accepts a bare [`Tensor`] or a tagged [`InferRequest`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::ShuttingDown`] during shutdown,
-    /// [`RuntimeError::Overloaded`] if the request was shed, or this
-    /// request's execution error.
-    pub fn infer(&self, req: impl Into<InferRequest>) -> Result<Inference, RuntimeError> {
-        self.scheduler.submit_wait(0, req.into())
-    }
-
-    /// Submits without ever blocking on queue space (full queue → shed
-    /// immediately); the returned [`Pending`] waits for the result. This
-    /// is the [`InferService`] surface; a bare [`Tensor`] converts.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::Overloaded`] when the queue is full.
-    pub fn try_infer(&self, req: impl Into<InferRequest>) -> Result<Pending, RuntimeError> {
-        self.scheduler.try_submit(0, req.into())
-    }
-
-    /// Submits a burst atomically and waits for all results, in order.
-    ///
-    /// # Errors
-    ///
-    /// Per-request errors land in their result slot; a burst larger than
-    /// the queue capacity (or submission during shutdown) fails whole.
-    #[allow(clippy::type_complexity)]
-    pub fn infer_many(
-        &self,
-        inputs: Vec<Tensor>,
-    ) -> Result<Vec<Result<Inference, RuntimeError>>, RuntimeError> {
-        self.scheduler.submit_many(0, inputs)
-    }
-
-    /// A point-in-time snapshot of the serving statistics (including the
-    /// plan cache's counters and the activation-arena footprint at this
-    /// engine's `max_batch`).
-    pub fn stats(&self) -> RuntimeStats {
-        let mut stats = self.scheduler.fleet_stats(self.cache.stats());
-        let plan = self.plan();
-        stats.arena_bytes = plan.arena_bytes(self.max_batch);
-        stats.legacy_pool_bytes = plan.legacy_pool_bytes(self.max_batch);
-        stats
-    }
-}
-
-impl InferService for NetworkEngine {
-    fn try_infer(&self, req: InferRequest) -> Result<Pending, RuntimeError> {
-        NetworkEngine::try_infer(self, req)
-    }
-
-    fn stats(&self) -> RuntimeStats {
-        NetworkEngine::stats(self)
     }
 }

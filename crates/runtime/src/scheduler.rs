@@ -1,18 +1,11 @@
-//! The reusable multi-tenant scheduler core shared by every serving
-//! engine.
+//! The multi-tenant scheduler core behind [`crate::MultiEngine`].
 //!
-//! PR 2's single-layer `Engine` owned its queue, coalescing loop, slot
-//! delivery and panic handling directly; PR 3 extracted that machinery
-//! into a scheduler generic over *what a batch executes* (the
-//! [`GroupExecutor`] trait). This PR generalizes the queue core from one
-//! queue to a **fleet of tenants**: each tenant brings its own executor,
-//! its own bounded submission queue with its own [`FlowControl`] and
-//! micro-batching knobs ([`TenantConfig`]), and its own statistics, while
-//! one set of scheduler threads drains all of them under a weighted-fair
-//! policy. The single-tenant [`crate::Engine`] and [`crate::NetworkEngine`]
-//! are the one-tenant special case ([`Scheduler::single`]); the
-//! multi-network [`crate::MultiEngine`] registers one tenant per compiled
-//! plan.
+//! Each tenant brings one compiled [`NetworkPlan`], its own bounded
+//! submission queue with its own [`FlowControl`] and micro-batching knobs
+//! ([`TenantConfig`]), and its own statistics, while one set of scheduler
+//! threads drains all of them under a weighted-fair policy. A single
+//! network is a one-tenant fleet, and a single epitome layer is a
+//! one-layer network.
 //!
 //! ## Request flow
 //!
@@ -32,24 +25,25 @@
 //!    cycle, no tenant can be starved, no matter how heavy its
 //!    neighbours' traffic is; tenants within one weight class are served
 //!    round-robin.
-//! 3. Within its turn a tenant's queue is drained exactly like the
-//!    single-queue scheduler always did: the thread takes the queue
-//!    head's input shape, coalesces up to [`TenantConfig::max_batch`]
-//!    same-shaped requests (holding the batch open up to
-//!    [`TenantConfig::batch_window`] — flushing early if any *other*
-//!    tenant has work waiting, so one tenant's coalescing knob cannot
-//!    inflate its neighbours' latency), drains the group in FIFO order
-//!    and runs it through **that tenant's** executor. Groups never mix
+//! 3. Within its turn a tenant's queue is drained shape group by shape
+//!    group: the thread takes the queue head's input shape, coalesces up
+//!    to [`TenantConfig::max_batch`] same-shaped requests (holding the
+//!    batch open up to [`TenantConfig::batch_window`] — flushing early if
+//!    any *other* tenant has work waiting, so one tenant's coalescing knob
+//!    cannot inflate its neighbours' latency), drains the group in FIFO
+//!    order and runs it through **that tenant's** plan. Groups never mix
 //!    tenants, which is what keeps every tenant's outputs bit-identical
-//!    to a dedicated single-tenant engine.
+//!    to sequential reference execution of its own program.
 //! 4. Results are delivered to per-request slots; every request is
-//!    guaranteed a delivery (success, its own error, or
-//!    [`RuntimeError::ExecutionPanicked`]), and a failing batch is retried
-//!    per-request so one bad request cannot poison its batchmates.
+//!    guaranteed a delivery (success, an error, or
+//!    [`RuntimeError::ExecutionPanicked`]). A group that fails delivers
+//!    its error to every request in it: every error a plan can return
+//!    depends only on the input shape, and groups are shape-uniform, so
+//!    each request alone would have failed the same way.
 
-use crate::stats::{StageMeta, StatsInner};
+use crate::stats::StatsInner;
 use crate::sync::{lock_recover, wait_recover, wait_timeout_recover};
-use crate::{PlanCacheStats, RuntimeError};
+use crate::{NetworkPlan, PlanCacheStats, RuntimeError};
 use epim_faults as faults;
 use epim_obs::trace;
 use epim_pim::datapath::DataPathStats;
@@ -58,41 +52,6 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-/// What a scheduler executes: one shape-uniform request group at a time.
-///
-/// Implementations must be deterministic per input (batching is a
-/// throughput decision, never a semantic one): `execute_batch` must return
-/// outputs bit-identical to `execute_one` per input, with the stats equal
-/// to the per-input sum.
-pub(crate) trait GroupExecutor: Send + Sync + 'static {
-    /// Runs a group of same-shaped inputs, returning one output per input,
-    /// the summed execution statistics, and the per-stage wall times
-    /// (nanoseconds, index-aligned with [`GroupExecutor::stage_meta`];
-    /// may be empty for executors without stage structure). `tenant` is
-    /// this group's tenant index, forwarded so per-stage trace spans can
-    /// be tenant-tagged ([`trace::TENANT_NONE`] outside a scheduler).
-    fn execute_batch(
-        &self,
-        tenant: u32,
-        inputs: &[&Tensor],
-    ) -> Result<(Vec<Tensor>, DataPathStats, Vec<u64>), RuntimeError>;
-
-    /// Runs a single input (the per-request fallback used to isolate a
-    /// failing batch).
-    fn execute_one(
-        &self,
-        tenant: u32,
-        input: &Tensor,
-    ) -> Result<(Tensor, DataPathStats), RuntimeError>;
-
-    /// Static stage descriptions for this executor's plan, index-aligned
-    /// with the `stage_ns` slice `execute_batch` returns (empty for
-    /// executors that report no per-stage times).
-    fn stage_meta(&self) -> Vec<StageMeta> {
-        Vec::new()
-    }
-}
 
 /// Flow-control policy applied when a bounded submission queue is full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,86 +67,10 @@ pub enum FlowControl {
     },
 }
 
-/// Micro-batching and flow-control knobs (shared by [`crate::Engine`] and
-/// [`crate::NetworkEngine`]).
-///
-/// For multi-tenant serving the per-tenant slice of this configuration
-/// (everything except `workers`, which is fleet-wide) lives in
-/// [`TenantConfig`]; [`EngineConfig::tenant`] converts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineConfig {
-    /// Most requests coalesced into one executed batch.
-    pub max_batch: usize,
-    /// How long a scheduler thread holds a non-full batch open for
-    /// stragglers. `Duration::ZERO` disables coalescing-by-time: whatever
-    /// is queued when the thread looks is taken.
-    pub batch_window: Duration,
-    /// Bounded submission-queue capacity (pending requests).
-    pub queue_capacity: usize,
-    /// What happens to submissions when the queue is full.
-    pub flow: FlowControl,
-    /// Scheduler threads executing groups concurrently (the pipeline
-    /// depth). `1` reproduces the strictly serial group order of the
-    /// original engine; more lets a fresh group coalesce and execute while
-    /// earlier ones are still in flight.
-    pub workers: usize,
-    /// Whether network compilation runs the graph-fusion pass
-    /// (`NetworkProgram::optimize`: fused ReLU epilogues, identity
-    /// folds) before planning. On by default; the pass is
-    /// bit-identity-safe, so clearing this is a debugging/benchmarking
-    /// knob, not a correctness one. Ignored by the single-layer
-    /// [`crate::Engine`], which serves no lowered program.
-    pub optimize_program: bool,
-    /// How many crashed scheduler worker threads the supervisor may
-    /// respawn (with exponential backoff) before declaring a crash loop
-    /// and failing the fleet with [`RuntimeError::CrashLoop`]. `0`
-    /// disables supervision: the first worker crash shuts the fleet
-    /// down.
-    pub restart_budget: u32,
-}
-
-/// Default [`EngineConfig::restart_budget`]: generous enough to ride out
-/// a burst of poisonous requests, small enough that a deterministic
-/// crash loop fails fast.
+/// Default [`crate::MultiEngineBuilder::restart_budget`]: generous enough
+/// to ride out a burst of poisonous requests, small enough that a
+/// deterministic crash loop fails fast.
 pub const DEFAULT_RESTART_BUDGET: u32 = 8;
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            max_batch: 16,
-            batch_window: Duration::from_micros(200),
-            queue_capacity: 256,
-            flow: FlowControl::Block,
-            workers: 1,
-            optimize_program: true,
-            restart_budget: DEFAULT_RESTART_BUDGET,
-        }
-    }
-}
-
-impl EngineConfig {
-    /// Validates the configuration, returning a typed error instead of
-    /// letting a zero knob hang or panic a scheduler thread.
-    pub(crate) fn validate(&self) -> Result<(), RuntimeError> {
-        if self.workers == 0 {
-            return Err(RuntimeError::config("workers must be at least 1"));
-        }
-        self.tenant().validate()
-    }
-
-    /// The per-tenant slice of this configuration: everything except
-    /// `workers` (the scheduler threads are shared by all tenants), with
-    /// the default weight of 1.
-    pub fn tenant(&self) -> TenantConfig {
-        TenantConfig {
-            max_batch: self.max_batch,
-            batch_window: self.batch_window,
-            queue_capacity: self.queue_capacity,
-            flow: self.flow,
-            weight: 1,
-        }
-    }
-}
 
 /// Per-tenant serving knobs: micro-batching, bounded-queue flow control
 /// and the tenant's weight in the fair-draining policy.
@@ -217,7 +100,13 @@ pub struct TenantConfig {
 
 impl Default for TenantConfig {
     fn default() -> Self {
-        EngineConfig::default().tenant()
+        TenantConfig {
+            max_batch: 16,
+            batch_window: Duration::from_micros(200),
+            queue_capacity: 256,
+            flow: FlowControl::Block,
+            weight: 1,
+        }
     }
 }
 
@@ -423,18 +312,24 @@ impl std::future::Future for Pending {
     }
 }
 
-/// One registered tenant: its executor, serving knobs and statistics.
-struct Tenant<E> {
-    /// Display label used in per-tenant errors (`None` for the anonymous
-    /// single-tenant engines).
-    label: Option<String>,
+/// One registered tenant: its plan, serving knobs and statistics.
+struct Tenant {
+    /// Display label used in per-tenant errors.
+    label: String,
     config: TenantConfig,
-    exec: E,
+    plan: Arc<NetworkPlan>,
     stats: Mutex<StatsInner>,
 }
 
-struct Shared<E: GroupExecutor> {
-    tenants: Vec<Tenant<E>>,
+impl Tenant {
+    /// Peak activation-arena bytes of one full group of this tenant.
+    fn arena_bytes(&self) -> u64 {
+        self.plan.arena_bytes(self.config.max_batch)
+    }
+}
+
+struct Shared {
+    tenants: Vec<Tenant>,
     queue: Mutex<QueueSet>,
     /// Signals scheduler threads that some queue changed (new request,
     /// shutdown).
@@ -483,10 +378,9 @@ impl QueueSet {
 
 /// The scheduler core: per-tenant bounded queues, weighted-fair draining,
 /// shape-grouped micro-batching worker threads under a supervisor that
-/// respawns crashed workers, per-request delivery. Engines wrap this
-/// around their executor(s).
-pub(crate) struct Scheduler<E: GroupExecutor> {
-    shared: Arc<Shared<E>>,
+/// respawns crashed workers, per-request delivery.
+pub(crate) struct Scheduler {
+    shared: Arc<Shared>,
     supervisor: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -496,28 +390,17 @@ enum WorkerExit {
     /// Clean return (shutdown drain finished).
     Clean(usize),
     /// The worker's loop unwound — a panic escaped the per-batch guards
-    /// (injected worker kill, poisoned-lock cascade, executor bug).
+    /// (injected worker kill, poisoned-lock cascade, plan bug).
     Crashed(usize),
 }
 
-impl<E: GroupExecutor> Scheduler<E> {
-    /// Spawns a scheduler serving exactly one anonymous tenant — the
-    /// single-network engines' configuration.
-    pub fn single(exec: E, config: EngineConfig) -> Result<Self, RuntimeError> {
-        config.validate()?;
-        Self::multi(
-            vec![(None, exec, config.tenant())],
-            config.workers,
-            config.restart_budget,
-        )
-    }
-
+impl Scheduler {
     /// Validates every tenant's config and spawns `workers` scheduler
     /// threads draining all of them under the weighted-fair policy, plus
     /// a supervisor thread that respawns crashed workers until
     /// `restart_budget` is exhausted.
-    pub fn multi(
-        tenants: Vec<(Option<String>, E, TenantConfig)>,
+    pub fn new(
+        tenants: Vec<(String, Arc<NetworkPlan>, TenantConfig)>,
         workers: usize,
         restart_budget: u32,
     ) -> Result<Self, RuntimeError> {
@@ -533,14 +416,17 @@ impl<E: GroupExecutor> Scheduler<E> {
             config.validate()?;
         }
         let first_weight = u64::from(tenants[0].2.weight);
-        let tenants: Vec<Tenant<E>> = tenants
+        let tenants: Vec<Tenant> = tenants
             .into_iter()
-            .map(|(label, exec, config)| {
-                let stage_meta = exec.stage_meta();
+            .map(|(label, plan, config)| {
+                // Pre-size the activation arena for a full group, so the
+                // first served groups do not pay the allocation.
+                plan.warm(config.max_batch);
+                let stage_meta = plan.stage_meta();
                 Tenant {
                     label,
                     config,
-                    exec,
+                    plan,
                     stats: Mutex::new(StatsInner::with_stages(stage_meta)),
                 }
             })
@@ -576,14 +462,14 @@ impl<E: GroupExecutor> Scheduler<E> {
         })
     }
 
-    /// The executor of tenant `tenant`.
+    /// The plan of tenant `tenant`.
     ///
     /// # Panics
     ///
     /// Panics on an out-of-range index (callers validate via
     /// [`Scheduler::check_tenant`] or hold an index they created).
-    pub fn executor(&self, tenant: usize) -> &E {
-        &self.shared.tenants[tenant].exec
+    pub fn plan(&self, tenant: usize) -> &Arc<NetworkPlan> {
+        &self.shared.tenants[tenant].plan
     }
 
     /// Returns [`RuntimeError::UnknownTenant`] unless `tenant` is a
@@ -644,7 +530,7 @@ impl<E: GroupExecutor> Scheduler<E> {
     }
 
     /// A point-in-time statistics snapshot of one tenant; `plan_cache` is
-    /// supplied by the wrapping engine (zeroes when it has no cache).
+    /// supplied by the engine that owns the cache.
     pub fn tenant_stats(
         &self,
         tenant: usize,
@@ -657,13 +543,14 @@ impl<E: GroupExecutor> Scheduler<E> {
         };
         let mut stats = lock_recover(&ten.stats).snapshot(queue_depth, high_water, plan_cache);
         stats.worker_restarts = self.shared.restarts.load(Ordering::Relaxed);
+        stats.arena_bytes = ten.arena_bytes();
         Ok(stats)
     }
 
-    /// The fleet-level rollup across every tenant: counters and data-path
-    /// rollups sum, the batch histograms merge element-wise, and the
-    /// latency percentiles are computed over the union of every tenant's
-    /// retained samples.
+    /// The fleet-level rollup across every tenant: counters, data-path
+    /// rollups and arena bytes sum, the batch histograms merge
+    /// element-wise, and the latency percentiles are computed over the
+    /// union of every tenant's retained samples.
     pub fn fleet_stats(&self, plan_cache: PlanCacheStats) -> crate::RuntimeStats {
         let (queue_depth, high_water) = {
             let queue = lock_recover(&self.shared.queue);
@@ -678,10 +565,11 @@ impl<E: GroupExecutor> Scheduler<E> {
         }
         let mut stats = rollup.snapshot(queue_depth, high_water, plan_cache);
         stats.worker_restarts = self.shared.restarts.load(Ordering::Relaxed);
+        stats.arena_bytes = self.shared.tenants.iter().map(Tenant::arena_bytes).sum();
         stats
     }
 
-    fn tenant_ref(&self, tenant: usize) -> Result<&Tenant<E>, RuntimeError> {
+    fn tenant_ref(&self, tenant: usize) -> Result<&Tenant, RuntimeError> {
         self.shared
             .tenants
             .get(tenant)
@@ -800,7 +688,7 @@ impl<E: GroupExecutor> Scheduler<E> {
     }
 }
 
-impl<E: GroupExecutor> Drop for Scheduler<E> {
+impl Drop for Scheduler {
     fn drop(&mut self) {
         {
             let mut queue = lock_recover(&self.shared.queue);
@@ -820,8 +708,8 @@ impl<E: GroupExecutor> Drop for Scheduler<E> {
 /// Spawns one scheduler worker thread for lane `lane`. The worker's last
 /// act — clean exit or unwinding panic — is reporting to the supervisor
 /// over `exit_tx`.
-fn spawn_worker<E: GroupExecutor>(
-    shared: Arc<Shared<E>>,
+fn spawn_worker(
+    shared: Arc<Shared>,
     lane: usize,
     exit_tx: mpsc::Sender<WorkerExit>,
 ) -> std::thread::JoinHandle<()> {
@@ -846,7 +734,7 @@ fn spawn_worker<E: GroupExecutor>(
 /// injected worker kill, a panic inside the stats critical section)
 /// unwinds this function — every in-hand request still gets a delivery
 /// via [`DeliveryGuard`], and the supervisor respawns the thread.
-fn worker_main<E: GroupExecutor>(shared: &Shared<E>) {
+fn worker_main(shared: &Shared) {
     loop {
         let Some((tenant, group)) = next_group(shared) else {
             return;
@@ -865,8 +753,8 @@ fn worker_main<E: GroupExecutor>(shared: &Shared<E>) {
 /// ones (exponential backoff, bounded by `restart_budget`), and fails the
 /// whole fleet with [`RuntimeError::CrashLoop`] once the budget is
 /// exhausted. Returns when every worker lane has exited.
-fn supervisor_main<E: GroupExecutor>(
-    shared: &Arc<Shared<E>>,
+fn supervisor_main(
+    shared: &Arc<Shared>,
     exit_rx: mpsc::Receiver<WorkerExit>,
     exit_tx: mpsc::Sender<WorkerExit>,
     mut handles: Vec<Option<std::thread::JoinHandle<()>>>,
@@ -926,13 +814,13 @@ fn supervisor_main<E: GroupExecutor>(
 /// Marks the fleet shut down and fails every queued request with a typed
 /// [`RuntimeError::CrashLoop`] — the crash-loop terminal state: no new
 /// work is accepted, nothing hangs.
-fn fail_fleet<E: GroupExecutor>(shared: &Shared<E>, restarts: u32) {
+fn fail_fleet(shared: &Shared, restarts: u32) {
     drain_all(shared, RuntimeError::CrashLoop { restarts });
 }
 
 /// Sets shutdown and delivers `error` to every queued request, waking all
 /// parked submitters and workers.
-fn drain_all<E: GroupExecutor>(shared: &Shared<E>, error: RuntimeError) {
+fn drain_all(shared: &Shared, error: RuntimeError) {
     let mut queue = lock_recover(&shared.queue);
     queue.shutdown = true;
     for pending in &mut queue.pending {
@@ -957,7 +845,7 @@ fn drain_all<E: GroupExecutor>(shared: &Shared<E>, error: RuntimeError) {
 /// has pending work; because advancing the cursor refills the budget from
 /// the new tenant's weight (always ≥ 1), the walk reaches a backlogged
 /// tenant within one cycle.
-fn pick_tenant<E: GroupExecutor>(queue: &mut QueueSet, shared: &Shared<E>) -> usize {
+fn pick_tenant(queue: &mut QueueSet, shared: &Shared) -> usize {
     let n = shared.tenants.len();
     loop {
         if queue.budget > 0 && !queue.pending[queue.cursor].is_empty() {
@@ -986,7 +874,7 @@ fn others_pending(queue: &QueueSet, tenant: usize) -> bool {
 /// freed). The caller holds the queue lock; slot delivery and the stats
 /// mutex are leaf locks (nothing takes the queue lock while holding
 /// either), so taking them underneath cannot deadlock.
-fn shed_expired<E: GroupExecutor>(queue: &mut QueueSet, shared: &Shared<E>) -> bool {
+fn shed_expired(queue: &mut QueueSet, shared: &Shared) -> bool {
     let now = Instant::now();
     let mut any = false;
     for (t, pending) in queue.pending.iter_mut().enumerate() {
@@ -1010,7 +898,7 @@ fn shed_expired<E: GroupExecutor>(queue: &mut QueueSet, shared: &Shared<E>) -> b
 /// Blocks for the next same-shape request group of some tenant, honoring
 /// the fair-drain policy and the tenant's batch window. Returns `None`
 /// when shut down with every queue empty.
-fn next_group<E: GroupExecutor>(shared: &Shared<E>) -> Option<(usize, Vec<Request>)> {
+fn next_group(shared: &Shared) -> Option<(usize, Vec<Request>)> {
     let mut queue = lock_recover(&shared.queue);
     // With several workers a queue head can change (or vanish) under us
     // while we wait; every such race restarts this loop — iteration, not
@@ -1153,14 +1041,14 @@ impl Drop for DeliveryGuard {
     }
 }
 
-/// Runs one group through its tenant's executor and delivers results.
+/// Runs one group through its tenant's plan and delivers results.
 ///
-/// Every request in the group is guaranteed a delivery: success, its own
-/// error, or [`RuntimeError::ExecutionPanicked`] if the executor panicked
-/// — a panicking batch must never strand its submitters. The guarantee
-/// holds even if this function itself unwinds: the [`DeliveryGuard`]
-/// fails whatever it still holds.
-fn execute_group<E: GroupExecutor>(shared: &Shared<E>, tenant: usize, group: Vec<Request>) {
+/// Every request in the group is guaranteed a delivery: its output, the
+/// group's error, or [`RuntimeError::ExecutionPanicked`] if the plan
+/// panicked — a panicking batch must never strand its submitters. The
+/// guarantee holds even if this function itself unwinds: the
+/// [`DeliveryGuard`] fails whatever it still holds.
+fn execute_group(shared: &Shared, tenant: usize, group: Vec<Request>) {
     let ten = &shared.tenants[tenant];
     let batch_size = group.len();
     let mut guard = DeliveryGuard::new(group);
@@ -1168,7 +1056,7 @@ fn execute_group<E: GroupExecutor>(shared: &Shared<E>, tenant: usize, group: Vec
     let exec_started = Instant::now();
     let t_group = trace::start();
     let batch_result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        ten.exec.execute_batch(tenant as u32, &inputs)
+        ten.plan.run(&inputs, tenant as u32)
     }));
     drop(inputs);
     trace::span(
@@ -1179,12 +1067,7 @@ fn execute_group<E: GroupExecutor>(shared: &Shared<E>, tenant: usize, group: Vec
         batch_size as u64,
         0,
     );
-    match batch_result {
-        Err(_) => {
-            for i in 0..batch_size {
-                guard.deliver(i, Err(RuntimeError::ExecutionPanicked));
-            }
-        }
+    let error = match batch_result {
         Ok(Ok((outputs, dp_stats, stage_ns))) => {
             let service = exec_started.elapsed();
             record_and_deliver(
@@ -1193,97 +1076,34 @@ fn execute_group<E: GroupExecutor>(shared: &Shared<E>, tenant: usize, group: Vec
                 outputs,
                 &dp_stats,
                 &stage_ns,
-                batch_size,
                 exec_started,
-                &[service],
+                service,
             );
+            return;
         }
-        Ok(Err(_)) => {
-            // Defensive fallback: run the group per-request so one bad
-            // request cannot poison its batchmates (each gets its own
-            // error or result).
-            let mut outputs = Vec::with_capacity(batch_size);
-            let mut services = Vec::with_capacity(batch_size);
-            let mut dp_stats = DataPathStats::default();
-            let mut failures: Vec<(usize, RuntimeError)> = Vec::new();
-            for i in 0..batch_size {
-                let started = Instant::now();
-                let input = &guard.get(i).input;
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    ten.exec.execute_one(tenant as u32, input)
-                }));
-                services.push(started.elapsed());
-                match outcome {
-                    Ok(Ok((out, s))) => {
-                        dp_stats.accumulate(&s);
-                        outputs.push(out);
-                    }
-                    Ok(Err(e)) => {
-                        failures.push((i, e));
-                        outputs.push(Tensor::zeros(&[1]));
-                    }
-                    Err(_) => {
-                        failures.push((i, RuntimeError::ExecutionPanicked));
-                        outputs.push(Tensor::zeros(&[1]));
-                    }
-                }
-            }
-            if failures.is_empty() {
-                record_and_deliver(
-                    ten,
-                    &mut guard,
-                    outputs,
-                    &dp_stats,
-                    &[],
-                    batch_size,
-                    exec_started,
-                    &services,
-                );
-            } else {
-                // Deliver successes as singletons, failures as errors.
-                for i in 0..batch_size {
-                    if let Some((_, e)) = failures.iter().find(|(fi, _)| *fi == i) {
-                        guard.deliver(i, Err(e.clone()));
-                    } else {
-                        let submitted_at = guard.get(i).submitted_at;
-                        let latency = submitted_at.elapsed();
-                        let mut stats = lock_recover(&ten.stats);
-                        stats.record_request(
-                            exec_started.saturating_duration_since(submitted_at),
-                            services[i],
-                            latency,
-                        );
-                        drop(stats);
-                        guard.deliver(
-                            i,
-                            Ok(Inference {
-                                output: outputs[i].clone(),
-                                batch_size: 1,
-                                latency,
-                            }),
-                        );
-                    }
-                }
-            }
-        }
+        // Every plan error depends only on the input shape, and the group
+        // is shape-uniform: each request alone would fail the same way.
+        Ok(Err(e)) => e,
+        Err(_) => RuntimeError::ExecutionPanicked,
+    };
+    for i in 0..batch_size {
+        guard.deliver(i, Err(error.clone()));
     }
 }
 
 /// Records batch statistics into the tenant's accumulator and hands each
-/// request its output. `services` is either one duration shared by the
-/// whole batch or one per request (the fallback path), and `exec_started`
-/// marks the end of each request's queue wait.
-#[allow(clippy::too_many_arguments)]
-fn record_and_deliver<E>(
-    tenant: &Tenant<E>,
+/// request its output. `exec_started` marks the end of each request's
+/// queue wait and `service` is the batch's execution time.
+fn record_and_deliver(
+    tenant: &Tenant,
     guard: &mut DeliveryGuard,
     outputs: Vec<Tensor>,
     dp_stats: &DataPathStats,
     stage_ns: &[u64],
-    batch_size: usize,
     exec_started: Instant,
-    services: &[Duration],
+    service: Duration,
 ) {
+    let batch_size = outputs.len();
     {
         let mut stats = lock_recover(&tenant.stats);
         // Injected lock-holder panic: unwinds while holding the stats
@@ -1296,11 +1116,6 @@ fn record_and_deliver<E>(
         stats.record_batch(batch_size, dp_stats, stage_ns);
         for i in 0..batch_size {
             let request = guard.get(i);
-            let service = if services.len() == 1 {
-                services[0]
-            } else {
-                services[i]
-            };
             stats.record_request(
                 exec_started.saturating_duration_since(request.submitted_at),
                 service,

@@ -1,24 +1,11 @@
-//! The unified submission surface shared by every serving engine.
+//! The typed request message every submission path accepts.
 //!
-//! Before this module, the three engines exposed three near-identical but
-//! incompatible submission APIs — [`crate::Engine::try_infer`] took a bare
-//! tensor, [`crate::MultiEngine::try_infer`] a `(TenantId, Tensor)` pair,
-//! and [`crate::TenantHandle::try_infer`] a tensor again — which made it
-//! impossible to write a server binary (or a test harness) generic over
-//! *what* is serving. [`InferService`] is that missing common surface:
-//! one typed request message ([`InferRequest`]), one non-blocking
-//! submission returning a [`Pending`], and one statistics snapshot.
-//!
-//! [`crate::Engine`], [`crate::NetworkEngine`] and [`crate::TenantHandle`]
-//! all implement it, so the TCP front-end (`epim-serve`), examples and
-//! tests can accept `&dyn InferService` (or be generic over
-//! `S: InferService`) and serve any engine. The engines' inherent
-//! methods now take `impl Into<InferRequest>` — a bare [`Tensor`] still
-//! works everywhere — so the old call sites compile unchanged while new
-//! code can attach request metadata (the client/connection tag that the
-//! wire path threads into enqueue trace spans).
+//! [`crate::MultiEngine`] and [`crate::TenantHandle`] take
+//! `impl Into<InferRequest>`: a bare [`Tensor`] converts, and callers that
+//! need request metadata (the client/connection tag the wire path threads
+//! into enqueue trace spans, or a completion deadline) build an
+//! [`InferRequest`] explicitly.
 
-use crate::{Inference, Pending, RuntimeError, RuntimeStats};
 use epim_tensor::Tensor;
 use std::time::Instant;
 
@@ -41,7 +28,7 @@ pub struct InferRequest {
     pub client: u64,
     /// Optional completion deadline. A request whose deadline passes
     /// before its batch starts executing is shed with
-    /// [`RuntimeError::DeadlineExceeded`] instead of wasting a batch
+    /// [`crate::RuntimeError::DeadlineExceeded`] instead of wasting a batch
     /// slot; admission waits under [`crate::FlowControl::Shed`] and
     /// [`crate::FlowControl::Block`] are bounded by it too. `None` (the
     /// default) keeps the pre-deadline behavior: requests wait as long
@@ -77,55 +64,4 @@ impl From<Tensor> for InferRequest {
     fn from(input: Tensor) -> Self {
         InferRequest::new(input)
     }
-}
-
-/// The unified serving surface: anything that can accept an
-/// [`InferRequest`] and report its serving statistics.
-///
-/// Implemented by [`crate::Engine`] (single epitome layer),
-/// [`crate::NetworkEngine`] (one compiled network) and
-/// [`crate::TenantHandle`] (one tenant of a [`crate::MultiEngine`]
-/// fleet), so servers, load generators, examples and tests can be written
-/// once, generic over engines:
-///
-/// ```ignore
-/// fn drive(svc: &impl InferService, xs: Vec<Tensor>) -> Vec<Tensor> {
-///     xs.into_iter()
-///         .map(|x| svc.try_infer(x.into()).unwrap().wait().unwrap().output)
-///         .collect()
-/// }
-/// ```
-pub trait InferService {
-    /// Submits `req` without ever blocking on queue space: a full
-    /// submission queue sheds immediately with
-    /// [`RuntimeError::Overloaded`] regardless of the configured flow
-    /// control. On success the returned [`Pending`] delivers the result —
-    /// via blocking [`Pending::wait`], bounded
-    /// [`Pending::wait_timeout`], or `await`/poll (it implements
-    /// [`std::future::Future`]).
-    ///
-    /// # Errors
-    ///
-    /// [`RuntimeError::Overloaded`] when the queue is full,
-    /// [`RuntimeError::ShuttingDown`] during shutdown, or the
-    /// implementation's validation errors (e.g.
-    /// [`RuntimeError::UnknownTenant`]).
-    fn try_infer(&self, req: InferRequest) -> Result<Pending, RuntimeError>;
-
-    /// Submits `req` and blocks for the result — the provided convenience
-    /// over [`InferService::try_infer`] + [`Pending::wait`]. Note the
-    /// queue-full behavior is the non-blocking path's: a full queue sheds
-    /// instead of applying the engine's configured backpressure (use the
-    /// engines' inherent `infer` for that).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`InferService::try_infer`], plus the request's
-    /// own execution error.
-    fn infer(&self, req: InferRequest) -> Result<Inference, RuntimeError> {
-        self.try_infer(req)?.wait()
-    }
-
-    /// A point-in-time snapshot of this service's serving statistics.
-    fn stats(&self) -> RuntimeStats;
 }

@@ -18,7 +18,7 @@ use epim_pim::datapath::DataPathStats;
 use serde::Serialize;
 use std::time::Duration;
 
-/// Static description of one plan stage, supplied by the executor so the
+/// Static description of one plan stage, supplied by the plan so the
 /// scheduler can pre-size its per-stage rollup (index-aligned with the
 /// `stage_ns` slice each batch reports).
 #[derive(Debug, Clone)]
@@ -51,10 +51,12 @@ pub struct StageRollup {
     pub total_ns: u64,
 }
 
-/// A point-in-time snapshot of an engine's serving statistics.
+/// A point-in-time snapshot of a tenant's (or a whole fleet's) serving
+/// statistics.
 ///
-/// Returned by `Engine::stats`; all counters and distributions are totals
-/// since engine construction (nothing is windowed or sampled).
+/// Returned by `MultiEngine::tenant_stats` and `MultiEngine::fleet_stats`;
+/// all counters and distributions are totals since engine construction
+/// (nothing is windowed or sampled).
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RuntimeStats {
     /// Requests completed (delivered to their submitters).
@@ -75,8 +77,8 @@ pub struct RuntimeStats {
     /// Submission-to-delivery end-to-end latency, nanoseconds (the
     /// distribution behind `p50_latency_us`/`p99_latency_us`).
     pub e2e: HistogramSnapshot,
-    /// Per-stage execution-time rollups for plan-serving engines (empty
-    /// for the single-layer engine, which reports one `datapath` stage).
+    /// Per-stage execution-time rollups, one per plan stage (merged by
+    /// name and op kind in fleet rollups).
     pub stages: Vec<StageRollup>,
     /// Rollup of every executed batch's [`DataPathStats`] (via
     /// `accumulate`) — equals the sum a sequential `execute` per request
@@ -98,19 +100,13 @@ pub struct RuntimeStats {
     /// Fleet-wide (workers are shared by all tenants), so per-tenant
     /// snapshots of a multi-tenant engine all report the same value.
     pub worker_restarts: u64,
-    /// Counters of the plan cache this engine was built from (all zero for
-    /// engines constructed without a cache). `warm_network` effectiveness
-    /// is visible here: a fully warmed engine compiles with zero
-    /// additional misses.
+    /// Counters of the plan cache this engine was built from.
+    /// `warm_network` effectiveness is visible here: a fully warmed engine
+    /// compiles with zero additional misses.
     pub plan_cache: PlanCacheStats,
     /// Peak activation-arena bytes for one full `max_batch` group under
-    /// the liveness-planned arena (zero for engines without a compiled
-    /// network plan).
+    /// the liveness-planned arena.
     pub arena_bytes: u64,
-    /// What the pre-arena exact-size buffer pool kept resident for the
-    /// same group (every stage activation plus the stacked source) — the
-    /// "before" of the arena optimization.
-    pub legacy_pool_bytes: u64,
 }
 
 impl RuntimeStats {
@@ -236,12 +232,6 @@ impl RuntimeStats {
             labels,
             self.arena_bytes as f64,
         );
-        w.gauge(
-            "epim_legacy_pool_bytes",
-            "Resident bytes the pre-arena exact-size pool would have kept.",
-            labels,
-            self.legacy_pool_bytes as f64,
-        );
         w.counter(
             "epim_datapath_rounds_total",
             "Crossbar activation rounds executed.",
@@ -269,10 +259,10 @@ impl RuntimeStats {
     }
 
     /// Renders this snapshot alone as Prometheus text exposition
-    /// (serving metrics unlabeled, plus the engine's plan-cache
-    /// counters). Multi-tenant engines use
+    /// (serving metrics unlabeled, plus the plan-cache counters).
+    /// `MultiEngine::render_prometheus` instead uses
     /// [`write_prometheus`](RuntimeStats::write_prometheus) per tenant
-    /// instead and add cache metrics once.
+    /// and adds cache metrics once.
     pub fn render_prometheus(&self) -> String {
         let mut w = PromWriter::new();
         self.write_prometheus(&mut w, &[]);
@@ -339,7 +329,7 @@ fn ns(d: Duration) -> u64 {
 
 impl StatsInner {
     /// An accumulator pre-sized for a plan's stages (index-aligned with
-    /// the `stage_ns` slices its executor reports per batch).
+    /// the `stage_ns` slices its plan reports per batch).
     pub fn with_stages(meta: Vec<StageMeta>) -> Self {
         StatsInner {
             stages: meta
@@ -367,9 +357,9 @@ impl StatsInner {
     }
 
     /// Records one executed batch: size histogram, data-path rollup, and
-    /// the per-stage wall times its executor measured (`stage_ns` may be
-    /// empty — e.g. the per-request fallback path — or index-aligned with
-    /// the stage metadata this accumulator was built with).
+    /// the per-stage wall times its plan measured (`stage_ns` is
+    /// index-aligned with the stage metadata this accumulator was built
+    /// with).
     pub fn record_batch(&mut self, batch_size: usize, stats: &DataPathStats, stage_ns: &[u64]) {
         debug_assert!(batch_size > 0);
         self.batches += 1;
@@ -463,12 +453,11 @@ impl StatsInner {
             queue_depth_high_water,
             shed: self.shed,
             deadline_exceeded: self.deadline_exceeded,
-            // Fleet-wide, sampled outside the stats mutex: the owning
-            // scheduler fills it in (like the engines do arena_bytes).
+            // Fleet-wide and plan-derived, filled in outside the stats
+            // mutex by the owning scheduler.
             worker_restarts: 0,
             plan_cache,
             arena_bytes: 0,
-            legacy_pool_bytes: 0,
         }
     }
 }
@@ -596,8 +585,6 @@ mod tests {
         let mut a = StatsInner::with_stages(meta.clone());
         a.record_batch(2, &dp, &[100, 50]);
         a.record_batch(2, &dp, &[120, 60]);
-        // Fallback batches report no stage times; rollup is unaffected.
-        a.record_batch(1, &dp, &[]);
         let mut b = StatsInner::with_stages(meta);
         b.record_batch(4, &dp, &[10, 5]);
 

@@ -2,23 +2,22 @@
 //! plans.
 //!
 //! The paper's epitome compression pays off at fleet scale — many small
-//! compressed models sharing one accelerator. [`crate::NetworkEngine`]
-//! serves exactly one [`NetworkPlan`]; a deployment with several
-//! compressed backbones would need one engine (and one worker-pool fight)
-//! per model. [`MultiEngine`] closes that gap: several compiled plans
-//! register as **tenants** sharing one [`PlanCache`] and one set of
-//! scheduler threads, each tenant with its own bounded submission queue,
-//! its own [`FlowControl`] and micro-batching knobs, and its own
-//! [`RuntimeStats`] — drained under the scheduler core's weighted-fair
-//! policy (see [`crate::scheduler`]'s module docs).
+//! compressed models sharing one accelerator. [`MultiEngine`] registers
+//! several compiled plans as **tenants** sharing one [`PlanCache`] and
+//! one set of scheduler threads, each tenant with its own bounded
+//! submission queue, its own [`FlowControl`] and micro-batching knobs,
+//! and its own [`RuntimeStats`] — drained under the scheduler core's
+//! weighted-fair policy (see [`crate::scheduler`]'s module docs). One
+//! network is a one-tenant fleet.
 //!
 //! Because request groups never mix tenants and every tenant executes its
 //! own plan, each tenant's outputs and [`DataPathStats`] rollups are
-//! **bit-identical** to running that tenant alone on a dedicated
-//! [`crate::NetworkEngine`] — tenancy is purely a resource-sharing
-//! decision, never a semantic one. Two tenants whose networks share an
-//! [`epim_core::EpitomeSpec`] share one compiled plan through the cache
-//! (one compile, visible in [`crate::PlanCacheStats`]).
+//! **bit-identical** to sequential reference execution of that tenant's
+//! unoptimized program (`NetworkProgram::forward_reference`) — tenancy
+//! is purely a resource-sharing decision, never a semantic one. Two
+//! tenants whose networks share an [`epim_core::EpitomeSpec`] share one
+//! compiled plan through the cache (one compile, visible in
+//! [`crate::PlanCacheStats`]).
 //!
 //! [`DataPathStats`]: epim_pim::datapath::DataPathStats
 //!
@@ -56,10 +55,9 @@
 //! # }
 //! ```
 
-use crate::network::{NetworkPlan, PlanExecutor};
 use crate::scheduler::Scheduler;
 use crate::{
-    InferRequest, InferService, Inference, Pending, PlanCache, RuntimeError, RuntimeStats,
+    InferRequest, Inference, NetworkPlan, Pending, PlanCache, RuntimeError, RuntimeStats,
     TenantConfig,
 };
 use epim_models::lower::NetworkWeights;
@@ -121,13 +119,15 @@ impl MultiEngineBuilder {
         self
     }
 
-    /// Compiles `network` through the builder's shared [`PlanCache`] (two
-    /// tenants with the same `EpitomeSpec` hit one compiled plan) and
-    /// registers it as a tenant, returning its id.
+    /// Lowers `network` for `input_hw` inputs, runs the graph-fusion pass
+    /// ([`epim_models::lower::NetworkProgram::optimize`]), compiles the
+    /// result through the builder's shared [`PlanCache`] (two tenants with
+    /// the same `EpitomeSpec` hit one compiled plan) and registers it as a
+    /// tenant, returning its id.
     ///
     /// # Errors
     ///
-    /// Propagates compilation errors and rejects an invalid
+    /// Propagates lowering and compilation errors and rejects an invalid
     /// [`TenantConfig`] or a duplicate tenant name.
     #[allow(clippy::too_many_arguments)]
     pub fn register(
@@ -144,16 +144,16 @@ impl MultiEngineBuilder {
         // before the shared cache's counters record any of its work).
         let name = name.into();
         self.check_registration(&name, config)?;
-        // Tenants always serve the optimized program: the graph-fusion
-        // pass is bit-identity-safe, so there is nothing to opt out of.
+        let program = network
+            .lower(input_hw.0, input_hw.1)
+            .map_err(|e| RuntimeError::config(format!("lowering failed: {e}")))?
+            .optimize();
         let plan = Arc::new(NetworkPlan::compile(
             &self.cache,
-            network,
+            program,
             weights,
-            input_hw,
             wrapping_enabled,
             analog,
-            true,
         )?);
         self.register_plan(name, plan, config)
     }
@@ -206,27 +206,16 @@ impl MultiEngineBuilder {
                 "register at least one tenant before build",
             ));
         }
-        let mut names = Vec::with_capacity(self.tenants.len());
-        let mut max_batches = Vec::with_capacity(self.tenants.len());
-        let tenants = self
+        let names = self
             .tenants
-            .into_iter()
-            .map(|(name, plan, config)| {
-                // Pre-size each tenant's activation arena for its own
-                // max_batch, as the dedicated engine would.
-                let max_batch = config.max_batch.max(1);
-                plan.warm(max_batch);
-                max_batches.push(max_batch);
-                names.push(name.clone());
-                (Some(name), PlanExecutor { plan }, config)
-            })
+            .iter()
+            .map(|(name, _, _)| name.clone())
             .collect();
-        let scheduler = Scheduler::multi(tenants, self.workers, self.restart_budget)?;
+        let scheduler = Scheduler::new(self.tenants, self.workers, self.restart_budget)?;
         Ok(MultiEngine {
             scheduler,
             fleet: self.fleet,
             names,
-            max_batches,
             cache: self.cache,
         })
     }
@@ -236,11 +225,9 @@ impl MultiEngineBuilder {
 /// behind one weighted-fair scheduler, sharing one [`PlanCache`] and one
 /// worker pool. See the [module docs](self) for the guarantees.
 pub struct MultiEngine {
-    scheduler: Scheduler<PlanExecutor>,
+    scheduler: Scheduler,
     fleet: u64,
     names: Vec<String>,
-    /// Per-tenant group size the arena metrics are reported for.
-    max_batches: Vec<usize>,
     cache: PlanCache,
 }
 
@@ -304,7 +291,7 @@ impl MultiEngine {
     /// not issue.
     pub fn plan(&self, id: TenantId) -> Result<&Arc<NetworkPlan>, RuntimeError> {
         let index = self.index_of(id)?;
-        Ok(&self.scheduler.executor(index).plan)
+        Ok(self.scheduler.plan(index))
     }
 
     /// Runs one whole-network inference on tenant `id` (input
@@ -330,8 +317,7 @@ impl MultiEngine {
     /// Submits to tenant `id` without ever blocking on queue space (full
     /// queue → shed immediately); the returned [`Pending`] waits for the
     /// result. Accepts a bare [`Tensor`] or a tagged [`InferRequest`];
-    /// [`MultiEngine::tenant`] yields the per-tenant [`InferService`]
-    /// form of this call.
+    /// [`MultiEngine::tenant`] yields the per-tenant form of this call.
     ///
     /// # Errors
     ///
@@ -365,9 +351,9 @@ impl MultiEngine {
     /// A point-in-time snapshot of one tenant's serving statistics
     /// (queue-wait / service / end-to-end latency histograms, per-stage
     /// time rollups, batch histogram, queue depth with its high-water
-    /// mark, shed counter, data-path rollup). The `plan_cache` counters
-    /// are those of the shared cache — compilation work is a fleet-level
-    /// resource.
+    /// mark, shed counter, data-path rollup, activation-arena bytes at
+    /// the tenant's `max_batch`). The `plan_cache` counters are those of
+    /// the shared cache — compilation work is a fleet-level resource.
     ///
     /// [`RuntimeStats::queue_depth_high_water`] and
     /// [`RuntimeStats::time_in_queue`] are the autoscaling input signal:
@@ -380,26 +366,16 @@ impl MultiEngine {
     /// Returns [`RuntimeError::UnknownTenant`] for an id this engine did
     /// not issue.
     pub fn tenant_stats(&self, id: TenantId) -> Result<RuntimeStats, RuntimeError> {
-        let index = self.index_of(id)?;
-        let mut stats = self.scheduler.tenant_stats(index, self.cache.stats())?;
-        let plan = &self.scheduler.executor(index).plan;
-        stats.arena_bytes = plan.arena_bytes(self.max_batches[index]);
-        stats.legacy_pool_bytes = plan.legacy_pool_bytes(self.max_batches[index]);
-        Ok(stats)
+        self.scheduler
+            .tenant_stats(self.index_of(id)?, self.cache.stats())
     }
 
     /// The fleet-level rollup across every tenant: counters and data-path
     /// rollups sum, histograms merge, latency percentiles cover the union
     /// of every tenant's retained samples, `queue_depth` is the total
-    /// backlog, and the arena byte metrics sum across tenants.
+    /// backlog, and the arena bytes sum across tenants.
     pub fn fleet_stats(&self) -> RuntimeStats {
-        let mut stats = self.scheduler.fleet_stats(self.cache.stats());
-        for (index, &max_batch) in self.max_batches.iter().enumerate() {
-            let plan = &self.scheduler.executor(index).plan;
-            stats.arena_bytes += plan.arena_bytes(max_batch);
-            stats.legacy_pool_bytes += plan.legacy_pool_bytes(max_batch);
-        }
-        stats
+        self.scheduler.fleet_stats(self.cache.stats())
     }
 
     /// Renders the whole fleet as Prometheus text exposition: every
@@ -426,8 +402,9 @@ impl MultiEngine {
     }
 }
 
-/// A cheap borrowing handle binding a [`MultiEngine`] to one tenant id,
-/// so call sites read like the single-tenant engines'.
+/// A cheap borrowing handle binding a [`MultiEngine`] to one tenant id:
+/// the per-tenant submission surface, which is what servers and tests
+/// hold for a one-tenant fleet.
 #[derive(Clone, Copy)]
 pub struct TenantHandle<'a> {
     engine: &'a MultiEngine,
@@ -483,18 +460,5 @@ impl<'a> TenantHandle<'a> {
     /// Same contract as [`MultiEngine::tenant_stats`].
     pub fn stats(self) -> Result<RuntimeStats, RuntimeError> {
         self.engine.tenant_stats(self.id)
-    }
-}
-
-/// The per-tenant [`InferService`]: a handle is only constructed through
-/// [`MultiEngine::tenant`], which validates the id, so the trait's
-/// infallible `stats` cannot actually fail.
-impl InferService for TenantHandle<'_> {
-    fn try_infer(&self, req: InferRequest) -> Result<Pending, RuntimeError> {
-        TenantHandle::try_infer(*self, req)
-    }
-
-    fn stats(&self) -> RuntimeStats {
-        TenantHandle::stats(*self).expect("handle ids are validated at construction")
     }
 }

@@ -18,7 +18,8 @@ use epim_models::lower::NetworkWeights;
 use epim_models::zoo;
 use epim_pim::datapath::AnalogModel;
 use epim_runtime::{
-    EngineConfig, InferRequest, NetworkEngine, PlanCache, RuntimeError, RuntimeStats,
+    InferRequest, MultiEngine, PlanCache, RuntimeError, RuntimeStats, TenantConfig, TenantId,
+    DEFAULT_RESTART_BUDGET,
 };
 use epim_tensor::{init, rng, Tensor};
 use std::sync::{Mutex, PoisonError};
@@ -35,40 +36,67 @@ fn requests(n: usize, seed: u64) -> Vec<Tensor> {
         .collect()
 }
 
-/// A single-worker engine over the tiny epitome network: one scheduler
-/// lane makes crash/respawn sequencing deterministic.
-fn build_engine(config: EngineConfig) -> NetworkEngine {
-    let (net, _) = zoo::tiny_epitome_network(8, 4, 10).unwrap();
-    let weights = NetworkWeights::random(&net, 7).unwrap();
-    let cache = PlanCache::new();
-    NetworkEngine::new(
-        &cache,
-        &net,
-        &weights,
-        (16, 16),
-        true,
-        AnalogModel::ideal(),
-        config,
-    )
-    .unwrap()
+/// A single-worker, one-tenant fleet over the tiny epitome network,
+/// serving one request per group: one scheduler lane makes crash/respawn
+/// sequencing deterministic.
+struct Fleet {
+    engine: MultiEngine,
+    id: TenantId,
 }
 
-fn serial_config() -> EngineConfig {
-    EngineConfig {
-        max_batch: 1,
-        batch_window: Duration::ZERO,
-        workers: 1,
-        ..EngineConfig::default()
+impl Fleet {
+    fn new(restart_budget: u32) -> Self {
+        let (net, _) = zoo::tiny_epitome_network(8, 4, 10).unwrap();
+        let weights = NetworkWeights::random(&net, 7).unwrap();
+        let cache = PlanCache::new();
+        let mut builder = MultiEngine::builder(&cache)
+            .workers(1)
+            .restart_budget(restart_budget);
+        let id = builder
+            .register(
+                "net",
+                &net,
+                &weights,
+                (16, 16),
+                true,
+                AnalogModel::ideal(),
+                TenantConfig {
+                    max_batch: 1,
+                    batch_window: Duration::ZERO,
+                    ..TenantConfig::default()
+                },
+            )
+            .unwrap();
+        Fleet {
+            engine: builder.build().unwrap(),
+            id,
+        }
+    }
+
+    fn serial() -> Self {
+        Fleet::new(DEFAULT_RESTART_BUDGET)
+    }
+
+    fn infer(&self, req: impl Into<InferRequest>) -> Result<epim_runtime::Inference, RuntimeError> {
+        self.engine.infer(self.id, req)
+    }
+
+    fn try_infer(&self, req: InferRequest) -> Result<epim_runtime::Pending, RuntimeError> {
+        self.engine.try_infer(self.id, req)
+    }
+
+    fn stats(&self) -> RuntimeStats {
+        self.engine.tenant_stats(self.id).unwrap()
     }
 }
 
 /// Polls until the submission queue drains (the worker took the head
 /// request into execution), so a follow-up submission cannot coalesce
 /// into the same batch.
-fn wait_queue_empty(engine: &NetworkEngine) -> RuntimeStats {
+fn wait_queue_empty(fleet: &Fleet) -> RuntimeStats {
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
-        let stats = engine.stats();
+        let stats = fleet.stats();
         if stats.queue_depth == 0 {
             return stats;
         }
@@ -89,14 +117,14 @@ fn worker_kill_is_survived_bit_identically() {
     let reqs = requests(5, 33);
 
     // Ground truth from a fault-free engine over the same plan + inputs.
-    let healthy = build_engine(serial_config());
+    let healthy = Fleet::serial();
     let want: Vec<Tensor> = reqs
         .iter()
         .map(|r| healthy.infer(r.clone()).unwrap().output)
         .collect();
     drop(healthy);
 
-    let engine = build_engine(serial_config());
+    let engine = Fleet::serial();
     epim_faults::install(
         FaultPlan::new(42).with_rule(FaultPoint::WorkerPanic, FaultRule::once_at(1)),
     );
@@ -129,10 +157,7 @@ fn crash_loop_fails_typed_instead_of_hanging() {
     epim_faults::clear();
 
     let reqs = requests(2, 44);
-    let engine = build_engine(EngineConfig {
-        restart_budget: 0,
-        ..serial_config()
-    });
+    let engine = Fleet::new(0);
     epim_faults::install(
         FaultPlan::new(42).with_rule(FaultPoint::WorkerPanic, FaultRule::once_at(1)),
     );
@@ -164,14 +189,14 @@ fn stats_lock_poisoning_recovers() {
     epim_faults::clear();
 
     let reqs = requests(3, 55);
-    let healthy = build_engine(serial_config());
+    let healthy = Fleet::serial();
     let want: Vec<Tensor> = reqs
         .iter()
         .map(|r| healthy.infer(r.clone()).unwrap().output)
         .collect();
     drop(healthy);
 
-    let engine = build_engine(serial_config());
+    let engine = Fleet::serial();
     epim_faults::install(
         FaultPlan::new(42).with_rule(FaultPoint::LockPanic, FaultRule::once_at(1)),
     );
@@ -205,7 +230,7 @@ fn expired_deadline_is_shed_at_admission() {
     let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
     epim_faults::clear();
 
-    let engine = build_engine(serial_config());
+    let engine = Fleet::serial();
     let input = requests(1, 66).pop().unwrap();
     let already_expired = Instant::now();
     std::thread::sleep(Duration::from_millis(2));
@@ -229,7 +254,7 @@ fn queued_request_expiring_behind_slow_batch_is_shed() {
     let _gate = GATE.lock().unwrap_or_else(PoisonError::into_inner);
     epim_faults::clear();
 
-    let engine = build_engine(serial_config());
+    let engine = Fleet::serial();
     let mut reqs = requests(2, 77);
     let slow_input = reqs.remove(0);
     let doomed_input = reqs.remove(0);
@@ -277,7 +302,7 @@ fn armed_but_silent_faults_change_no_bits() {
     epim_faults::clear();
 
     let reqs = requests(4, 88);
-    let healthy = build_engine(serial_config());
+    let healthy = Fleet::serial();
     let want: Vec<Tensor> = reqs
         .iter()
         .map(|r| healthy.infer(r.clone()).unwrap().output)
@@ -290,7 +315,7 @@ fn armed_but_silent_faults_change_no_bits() {
     }
     epim_faults::install(plan);
 
-    let engine = build_engine(serial_config());
+    let engine = Fleet::serial();
     let got: Vec<Tensor> = reqs
         .iter()
         .map(|r| engine.infer(r.clone()).unwrap().output)

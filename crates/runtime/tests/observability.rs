@@ -12,7 +12,7 @@ use epim_models::lower::NetworkWeights;
 use epim_models::zoo;
 use epim_obs::{self as obs, SpanKind, TENANT_NONE};
 use epim_pim::datapath::AnalogModel;
-use epim_runtime::{EngineConfig, NetworkEngine, NetworkPlan, PlanCache};
+use epim_runtime::{MultiEngine, NetworkPlan, PlanCache, TenantConfig};
 use epim_tensor::{init, rng, Tensor};
 use std::time::Duration;
 
@@ -37,7 +37,8 @@ fn traced_serving_produces_nested_spans_and_valid_exports() {
     // --- Phase 1: direct plan execution on this thread. The per-stage
     // spans land on this thread's lane and their durations must sum to no
     // more than — and the bulk of — the measured wall time of the call.
-    let plan = NetworkPlan::compile(&cache, &net, &weights, (16, 16), true, analog, true).unwrap();
+    let program = net.lower(16, 16).unwrap().optimize();
+    let plan = NetworkPlan::compile(&cache, program, &weights, true, analog).unwrap();
     let inputs = burst(4, 11);
     let refs: Vec<&Tensor> = inputs.iter().collect();
     obs::set_enabled(true);
@@ -74,22 +75,24 @@ fn traced_serving_produces_nested_spans_and_valid_exports() {
     // --- Phase 2: a served burst. Scheduler workers occupy labeled
     // lanes; every stage span nests inside a group span on its lane.
     obs::global().clear();
-    let engine = NetworkEngine::new(
-        &cache,
-        &net,
-        &weights,
-        (16, 16),
-        true,
-        analog,
-        EngineConfig {
-            max_batch: 4,
-            batch_window: Duration::ZERO,
-            workers: 2,
-            ..EngineConfig::default()
-        },
-    )
-    .unwrap();
-    for res in engine.infer_many(burst(8, 13)).unwrap() {
+    let mut builder = MultiEngine::builder(&cache).workers(2);
+    let id = builder
+        .register(
+            "net",
+            &net,
+            &weights,
+            (16, 16),
+            true,
+            analog,
+            TenantConfig {
+                max_batch: 4,
+                batch_window: Duration::ZERO,
+                ..TenantConfig::default()
+            },
+        )
+        .unwrap();
+    let engine = builder.build().unwrap();
+    for res in engine.infer_many(id, burst(8, 13)).unwrap() {
         res.unwrap();
     }
     obs::set_enabled(false);
@@ -153,7 +156,7 @@ fn traced_serving_produces_nested_spans_and_valid_exports() {
     };
     assert!(events.len() >= all.len(), "every ring event exports");
 
-    let stats = engine.stats();
+    let stats = engine.tenant_stats(id).unwrap();
     assert!(
         stats.queue_depth_high_water >= 1,
         "burst left a high-water mark"

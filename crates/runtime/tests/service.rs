@@ -1,18 +1,19 @@
-//! Integration tests for the unified submission surface: the
-//! [`InferService`] trait must behave identically across all three engine
-//! kinds, and [`Pending`] must deliver results through every one of its
-//! three consumption modes — blocking `wait()`, bounded `wait_timeout()`
-//! and `await` under a runtime-free hand-rolled executor.
+//! Integration tests for the submission surface: every submission path
+//! (`MultiEngine` and `TenantHandle`, blocking, non-blocking and burst)
+//! must deliver the same bits for every kind of tenant, and [`Pending`]
+//! must deliver results through every one of its three consumption modes
+//! — blocking `wait()`, bounded `wait_timeout()` and `await` under a
+//! runtime-free hand-rolled executor.
 
 use epim_core::{ConvShape, Epitome, EpitomeShape, EpitomeSpec};
 use epim_models::lower::NetworkWeights;
+use epim_models::network::Network;
 use epim_models::zoo;
 use epim_pim::datapath::AnalogModel;
 use epim_runtime::{
-    Engine, EngineConfig, InferRequest, InferService, MultiEngine, NetworkEngine, Pending,
-    PlanCache, RuntimeError, TenantConfig,
+    InferRequest, MultiEngine, MultiEngineBuilder, Pending, PlanCache, RuntimeError, TenantConfig,
+    TenantId,
 };
-use epim_tensor::ops::Conv2dCfg;
 use epim_tensor::{init, rng, Tensor};
 use std::future::Future;
 use std::pin::Pin;
@@ -28,15 +29,49 @@ fn analog() -> AnalogModel {
     }
 }
 
-fn layer_engine(config: EngineConfig) -> Engine {
+/// One 8×4×3×3 epitome layer over 8×8 inputs, as a network.
+fn layer_network() -> (Network, NetworkWeights) {
     let spec = EpitomeSpec::new(ConvShape::new(8, 4, 3, 3), EpitomeShape::new(4, 4, 2, 2)).unwrap();
     let mut r = rng::seeded(5);
     let epi = Epitome::from_tensor(spec, init::uniform(&[4, 4, 2, 2], -1.0, 1.0, &mut r)).unwrap();
-    let cfg = Conv2dCfg {
-        stride: 1,
-        padding: 1,
-    };
-    Engine::new(&epi, cfg, true, analog(), config).unwrap()
+    zoo::epitome_layer_network(&epi, (8, 8))
+}
+
+fn register(
+    builder: &mut MultiEngineBuilder,
+    name: &str,
+    (net, weights): &(Network, NetworkWeights),
+    hw: usize,
+    config: TenantConfig,
+) -> TenantId {
+    builder
+        .register(name, net, weights, (hw, hw), true, analog(), config)
+        .unwrap()
+}
+
+/// The one-layer network served as the only tenant of a fresh fleet.
+fn layer_fleet(config: TenantConfig) -> (MultiEngine, TenantId) {
+    let mut builder = MultiEngine::builder(&PlanCache::new());
+    let id = register(&mut builder, "layer", &layer_network(), 8, config);
+    (builder.build().unwrap(), id)
+}
+
+/// Sequential per-request reference outputs of `net`'s unoptimized
+/// program.
+fn reference(
+    (net, weights): &(Network, NetworkWeights),
+    hw: usize,
+    inputs: &[Tensor],
+) -> Vec<Tensor> {
+    let prog = net.lower(hw, hw).unwrap();
+    inputs
+        .iter()
+        .map(|x| {
+            prog.forward_reference(weights, true, analog(), x)
+                .unwrap()
+                .0
+        })
+        .collect()
 }
 
 /// A minimal single-future executor built only on std: parks on a
@@ -78,84 +113,72 @@ fn block_on<F: Future>(fut: F) -> F::Output {
     }
 }
 
-/// Generic driver: the point of `InferService` is that this compiles
-/// once and serves any engine.
-fn drive(svc: &dyn InferService, inputs: &[Tensor]) -> Vec<Tensor> {
-    let pendings: Vec<Pending> = inputs
-        .iter()
-        .map(|x| svc.try_infer(InferRequest::new(x.clone())).unwrap())
-        .collect();
-    pendings
-        .into_iter()
-        .map(|p| p.wait().unwrap().output)
-        .collect()
-}
-
-/// All three `InferService` implementations produce bit-identical
-/// outputs to their engine's inherent blocking path, through the same
-/// generic driver.
+/// Every submission path — the engine's and the tenant handle's
+/// blocking, non-blocking and burst calls — serves bit-identical outputs
+/// to the reference, for a one-layer tenant and a whole-network tenant
+/// sharing one fleet.
 #[test]
-fn infer_service_is_uniform_across_engines() {
-    // Single-layer engine.
-    let engine = layer_engine(EngineConfig::default());
-    let mut r = rng::seeded(6);
-    let layer_inputs: Vec<Tensor> = (0..3)
-        .map(|_| init::uniform(&[1, 4, 8, 8], -1.0, 1.0, &mut r))
-        .collect();
-    let want: Vec<Tensor> = layer_inputs
-        .iter()
-        .map(|x| engine.infer(x.clone()).unwrap().output)
-        .collect();
-    assert_eq!(drive(&engine, &layer_inputs), want);
-    assert!(InferService::stats(&engine).requests >= 3);
-
-    // Network engine and a tenant handle over the same network: all
-    // three must agree bitwise.
+fn submission_paths_agree_bitwise_with_reference() {
+    let layer = layer_network();
     let (net, _) = zoo::tiny_epitome_network(8, 4, 10).unwrap();
     let weights = NetworkWeights::random(&net, 11).unwrap();
-    let net_inputs: Vec<Tensor> = (0..3)
-        .map(|_| init::uniform(&[1, 3, 16, 16], -1.0, 1.0, &mut r))
-        .collect();
+    let network = (net, weights);
 
-    let cache = PlanCache::new();
-    let net_engine = NetworkEngine::new(
-        &cache,
-        &net,
-        &weights,
-        (16, 16),
-        true,
-        analog(),
-        EngineConfig::default(),
-    )
-    .unwrap();
-    let net_want: Vec<Tensor> = net_inputs
-        .iter()
-        .map(|x| net_engine.infer(x.clone()).unwrap().output)
-        .collect();
-    assert_eq!(drive(&net_engine, &net_inputs), net_want);
+    let mut builder = MultiEngine::builder(&PlanCache::new()).workers(2);
+    let layer_id = register(&mut builder, "layer", &layer, 8, TenantConfig::default());
+    let net_id = register(&mut builder, "net", &network, 16, TenantConfig::default());
+    let engine = builder.build().unwrap();
 
-    let mut builder = MultiEngine::builder(&cache);
-    let solo = builder
-        .register(
-            "solo",
-            &net,
-            &weights,
-            (16, 16),
-            true,
-            analog(),
-            TenantConfig::default(),
-        )
-        .unwrap();
-    let fleet = builder.build().unwrap();
-    let handle = fleet.tenant(solo).unwrap();
-    assert_eq!(drive(&handle, &net_inputs), net_want);
-    assert_eq!(InferService::stats(&handle).requests, 3);
-
-    // The provided blocking convenience agrees with try_infer + wait.
-    let one = InferService::infer(&handle, InferRequest::new(net_inputs[0].clone()))
-        .unwrap()
-        .output;
-    assert_eq!(one, net_want[0]);
+    let mut r = rng::seeded(6);
+    for (id, model, hw) in [(layer_id, &layer, 8), (net_id, &network, 16)] {
+        let c = model.0.backbone().layers[0].conv.cin;
+        let inputs: Vec<Tensor> = (0..3)
+            .map(|_| init::uniform(&[1, c, hw, hw], -1.0, 1.0, &mut r))
+            .collect();
+        let want = reference(model, hw, &inputs);
+        let handle = engine.tenant(id).unwrap();
+        let burst = |results: Vec<Result<epim_runtime::Inference, RuntimeError>>| {
+            results
+                .into_iter()
+                .map(|res| res.unwrap().output)
+                .collect::<Vec<_>>()
+        };
+        let paths: [Vec<Tensor>; 6] = [
+            inputs
+                .iter()
+                .map(|x| engine.infer(id, x.clone()).unwrap().output)
+                .collect(),
+            inputs
+                .iter()
+                .map(|x| handle.infer(InferRequest::new(x.clone())).unwrap().output)
+                .collect(),
+            inputs
+                .iter()
+                .map(|x| engine.try_infer(id, x.clone()).unwrap())
+                .collect::<Vec<Pending>>()
+                .into_iter()
+                .map(|p| p.wait().unwrap().output)
+                .collect(),
+            inputs
+                .iter()
+                .map(|x| handle.try_infer(x.clone()).unwrap())
+                .collect::<Vec<Pending>>()
+                .into_iter()
+                .map(|p| p.wait().unwrap().output)
+                .collect(),
+            burst(engine.infer_many(id, inputs.clone()).unwrap()),
+            burst(handle.infer_many(inputs.clone()).unwrap()),
+        ];
+        for (i, got) in paths.iter().enumerate() {
+            assert_eq!(
+                got,
+                &want,
+                "{}: submission path {i} diverged",
+                handle.name()
+            );
+        }
+        assert_eq!(handle.stats().unwrap().requests, 18);
+    }
 }
 
 /// `Pending` as a `Future`: awaiting results under a minimal hand-rolled
@@ -163,25 +186,22 @@ fn infer_service_is_uniform_across_engines() {
 /// blocking path bitwise, and the waker fires without busy-polling.
 #[test]
 fn pending_resolves_as_future_under_handrolled_executor() {
-    let engine = layer_engine(EngineConfig {
+    let (engine, id) = layer_fleet(TenantConfig {
         max_batch: 4,
         batch_window: Duration::from_millis(2),
-        ..EngineConfig::default()
+        ..TenantConfig::default()
     });
     let mut r = rng::seeded(7);
     let inputs: Vec<Tensor> = (0..6)
         .map(|_| init::uniform(&[1, 4, 8, 8], -1.0, 1.0, &mut r))
         .collect();
-    let want: Vec<Tensor> = inputs
-        .iter()
-        .map(|x| engine.infer(x.clone()).unwrap().output)
-        .collect();
+    let want = reference(&layer_network(), 8, &inputs);
 
     // Await them one at a time (single-future executor), but submit all
     // up front so the batcher still coalesces.
     let pendings: Vec<Pending> = inputs
         .iter()
-        .map(|x| engine.try_infer(x.clone()).unwrap())
+        .map(|x| engine.try_infer(id, x.clone()).unwrap())
         .collect();
     let got: Vec<Tensor> = pendings
         .into_iter()
@@ -190,8 +210,8 @@ fn pending_resolves_as_future_under_handrolled_executor() {
     assert_eq!(got, want);
 
     // A joined pair through one future: poll-driven multiplexing.
-    let p1 = engine.try_infer(inputs[0].clone()).unwrap();
-    let p2 = engine.try_infer(inputs[1].clone()).unwrap();
+    let p1 = engine.try_infer(id, inputs[0].clone()).unwrap();
+    let p2 = engine.try_infer(id, inputs[1].clone()).unwrap();
     let joined = block_on(Join2 {
         a: Some(p1),
         b: Some(p2),
@@ -252,20 +272,16 @@ impl Future for Join2 {
 fn wait_timeout_returns_timeout_then_result_survives() {
     // max_batch 8 with a single submission: the batcher holds the
     // request for the whole window hoping for peers, stalling delivery.
-    let engine = layer_engine(EngineConfig {
+    let (engine, id) = layer_fleet(TenantConfig {
         max_batch: 8,
         batch_window: Duration::from_millis(400),
-        ..EngineConfig::default()
+        ..TenantConfig::default()
     });
     let mut r = rng::seeded(8);
     let x = init::uniform(&[1, 4, 8, 8], -1.0, 1.0, &mut r);
-    let want = {
-        // Ground truth from a second engine with no stall window.
-        let fast = layer_engine(EngineConfig::default());
-        fast.infer(x.clone()).unwrap().output
-    };
+    let want = reference(&layer_network(), 8, std::slice::from_ref(&x)).remove(0);
 
-    let mut pending = engine.try_infer(x).unwrap();
+    let mut pending = engine.try_infer(id, x).unwrap();
     assert!(!pending.is_ready());
     let err = pending
         .wait_timeout(Duration::from_millis(30))
@@ -279,7 +295,7 @@ fn wait_timeout_returns_timeout_then_result_survives() {
     // A fresh request against the same engine resolves within a bounded
     // wait longer than the window: timeout is a deadline, not a poison.
     let y = init::uniform(&[1, 4, 8, 8], -1.0, 1.0, &mut r);
-    let mut p2 = engine.try_infer(y).unwrap();
+    let mut p2 = engine.try_infer(id, y).unwrap();
     let inf = p2.wait_timeout(Duration::from_secs(10)).unwrap();
     assert_eq!(inf.output.shape(), &[1, 8, 8, 8]);
 }

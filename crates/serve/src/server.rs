@@ -3,11 +3,11 @@
 //!
 //! Each accepted connection gets two threads. The **reader** decodes
 //! request frames, resolves the wire tenant name against the fleet and
-//! submits through the non-blocking [`InferService`] path — tagging every
-//! submission with the connection id, which the scheduler threads into
-//! its `Enqueue` trace spans — then hands the in-flight [`Pending`] to
-//! the **writer**. The writer multiplexes all of the connection's
-//! in-flight requests through a [`Mux`] (waker-parked, never
+//! submits through the non-blocking [`MultiEngine::try_infer`] path —
+//! tagging every submission with the connection id, which the scheduler
+//! threads into its `Enqueue` trace spans — then hands the in-flight
+//! [`Pending`] to the **writer**. The writer multiplexes all of the
+//! connection's in-flight requests through a [`Mux`] (waker-parked, never
 //! busy-polling) and streams responses back in completion order; request
 //! ids, not arrival order, correlate replies. A full tenant queue turns
 //! into a typed `overloaded` error frame; a malformed frame turns into a

@@ -629,7 +629,7 @@ mod tests {
     fn error_codes_cover_runtime_errors() {
         assert_eq!(
             error_code(&RuntimeError::Overloaded {
-                tenant: Some("a".into()),
+                tenant: "a".into(),
                 capacity: 1
             }),
             code::OVERLOADED

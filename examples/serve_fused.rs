@@ -3,10 +3,10 @@
 //! Lowers the zoo's tiny ResNet, runs the graph-fusion pass
 //! (`NetworkProgram::optimize`: ReLUs folded into conv/epitome/linear/add
 //! epilogues, identity stages aliased away), plans its liveness-based
-//! activation arena, and serves the same burst through a fused and an
-//! unfused engine — asserting the two are **bitwise identical** in both
-//! outputs and data-path counter rollups, which is the house invariant
-//! the pass is built on.
+//! activation arena, and serves the same burst through a tenant serving
+//! the fused program and one serving the unfused program — asserting the
+//! two are **bitwise identical** in both outputs and data-path counter
+//! rollups, which is the house invariant the pass is built on.
 //!
 //! Run with: `cargo run --release -p epim --example serve_fused`
 //! Knobs: `EPIM_THREADS` pins the worker pool width.
@@ -14,8 +14,9 @@
 use epim::models::lower::NetworkWeights;
 use epim::models::zoo;
 use epim::pim::datapath::AnalogModel;
-use epim::runtime::{EngineConfig, NetworkEngine, PlanCache, RuntimeStats};
+use epim::runtime::{MultiEngine, NetworkPlan, PlanCache, TenantConfig, TenantId};
 use epim::tensor::{init, rng, Tensor};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const BURST: usize = 8;
@@ -44,55 +45,62 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    // Serve one burst through each engine (the fused one is the default).
+    // Serve one burst through each tenant: `register` compiles the
+    // optimized program, `register_plan` takes the unfused plan as is.
     let mut r = rng::seeded(9);
     let inputs: Vec<Tensor> = (0..BURST)
         .map(|_| init::uniform(&[1, 3, 16, 16], -1.0, 1.0, &mut r))
         .collect();
-    let serve = |optimize_program: bool| -> Result<(Vec<Tensor>, RuntimeStats, Duration), Box<dyn std::error::Error>> {
-        let cache = PlanCache::new();
-        cache.warm_network(&net)?;
-        let engine = NetworkEngine::new(
-            &cache,
-            &net,
-            &weights,
-            (16, 16),
-            true,
-            analog,
-            EngineConfig {
-                max_batch: BURST,
-                batch_window: Duration::ZERO,
-                optimize_program,
-                ..EngineConfig::default()
-            },
-        )?;
+    let cache = PlanCache::new();
+    cache.warm_network(&net)?;
+    let config = TenantConfig {
+        max_batch: BURST,
+        batch_window: Duration::ZERO,
+        ..TenantConfig::default()
+    };
+    let mut builder = MultiEngine::builder(&cache);
+    let fused_id = builder.register("fused", &net, &weights, (16, 16), true, analog, config)?;
+    let raw_plan = NetworkPlan::compile(&cache, program.clone(), &weights, true, analog)?;
+    let raw_id = builder.register_plan("unfused", Arc::new(raw_plan), config)?;
+    let engine = builder.build()?;
+    let serve = |id: TenantId| -> Result<(Vec<Tensor>, Duration), Box<dyn std::error::Error>> {
         let t0 = Instant::now();
         let outputs: Vec<Tensor> = engine
-            .infer_many(inputs.clone())?
+            .infer_many(id, inputs.clone())?
             .into_iter()
             .map(|res| res.map(|inf| inf.output))
             .collect::<Result<_, _>>()?;
-        let took = t0.elapsed();
-        Ok((outputs, engine.stats(), took))
+        Ok((outputs, t0.elapsed()))
     };
-    let (fused_out, fused_stats, fused_took) = serve(true)?;
-    let (raw_out, raw_stats, raw_took) = serve(false)?;
+    let (fused_out, fused_took) = serve(fused_id)?;
+    let (raw_out, raw_took) = serve(raw_id)?;
+    let fused_stats = engine.tenant_stats(fused_id)?;
+    let raw_stats = engine.tenant_stats(raw_id)?;
 
     let exact = fused_out == raw_out && fused_stats.datapath == raw_stats.datapath;
     println!("\nfused == unfused (outputs and stats), bitwise: {exact}");
     assert!(exact, "the graph-fusion pass must be bitwise invisible");
 
+    // The "before" of the arena: one exact-size buffer per unfused stage
+    // activation plus the stacked source, all resident.
+    let resident_units = program.input_shape().iter().product::<usize>()
+        + program
+            .stages()
+            .iter()
+            .map(|s| s.out_shape.iter().product::<usize>())
+            .sum::<usize>();
+    let resident_bytes = (resident_units * BURST * std::mem::size_of::<f32>()) as u64;
     let mb = |bytes: u64| bytes as f64 / (1024.0 * 1024.0);
     println!(
         "activation arena:     {:.3} MB (liveness-planned) vs {:.3} MB \
-         (old exact-size pool high-water) — {:.2}x smaller",
+         (one buffer per unfused stage) — {:.2}x smaller",
         mb(fused_stats.arena_bytes),
-        mb(fused_stats.legacy_pool_bytes),
-        fused_stats.legacy_pool_bytes as f64 / fused_stats.arena_bytes as f64,
+        mb(resident_bytes),
+        resident_bytes as f64 / fused_stats.arena_bytes as f64,
     );
     assert!(
-        fused_stats.arena_bytes < fused_stats.legacy_pool_bytes,
-        "the arena must stay below the old pool's high-water mark"
+        fused_stats.arena_bytes < resident_bytes,
+        "the arena must stay below one buffer per stage"
     );
     println!(
         "burst of {BURST}:           fused {:.2} ms, unfused {:.2} ms",

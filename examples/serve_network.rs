@@ -3,8 +3,8 @@
 //! Builds a small ResNet-style network with two of its convolutions
 //! replaced by a shared epitome, lowers it to an executable program,
 //! compiles a serving plan against a pre-warmed plan cache (zero misses),
-//! and serves a concurrent client fleet through the pipelined
-//! `NetworkEngine` — verifying along the way that the served outputs are
+//! and serves a concurrent client fleet through a one-tenant
+//! `MultiEngine` — verifying along the way that the served outputs are
 //! bit-identical to sequential per-stage reference execution, and showing
 //! the `Shed` flow-control policy rejecting traffic when the bounded
 //! queue is full.
@@ -15,7 +15,7 @@
 use epim::models::lower::NetworkWeights;
 use epim::models::zoo;
 use epim::pim::datapath::AnalogModel;
-use epim::runtime::{EngineConfig, FlowControl, NetworkEngine, PlanCache, RuntimeError};
+use epim::runtime::{FlowControl, MultiEngine, PlanCache, RuntimeError, TenantConfig};
 use epim::tensor::{init, rng, Tensor};
 use std::time::{Duration, Instant};
 
@@ -49,21 +49,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cache = PlanCache::new();
     cache.warm_network(&net)?;
     println!("plan cache after warm_network: {:?}", cache.stats());
-    let engine = NetworkEngine::new(
-        &cache,
+    let mut builder = MultiEngine::builder(&cache);
+    let tenant = builder.register(
+        "resnet",
         &net,
         &weights,
         (16, 16),
         true,
         analog,
-        EngineConfig {
+        TenantConfig {
             // One slot per client: a full batch flushes without waiting
             // out the window.
             max_batch: CLIENTS,
             batch_window: Duration::from_micros(500),
-            ..EngineConfig::default()
+            ..TenantConfig::default()
         },
     )?;
+    let engine = builder.build()?;
     println!(
         "plan cache after compile:      {:?} (warm path: no new misses)",
         cache.stats()
@@ -96,7 +98,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 scope.spawn(move || {
                     chunk
                         .iter()
-                        .map(|x| engine.infer(x.clone()).expect("inference succeeds").output)
+                        .map(|x| {
+                            engine
+                                .infer(tenant, x.clone())
+                                .expect("inference succeeds")
+                                .output
+                        })
                         .collect::<Vec<_>>()
                 })
             })
@@ -112,7 +119,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nserved == sequential reference, bitwise: {exact}");
     assert!(exact, "pipelined serving must be bit-identical");
 
-    let stats = engine.stats();
+    let stats = engine.tenant_stats(tenant)?;
     let n = inputs.len() as f64;
     println!("requests:             {}", stats.requests);
     println!(
@@ -142,30 +149,30 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Flow control: a tiny bounded queue with a Shed policy rejects
     // instead of hanging when clients outrun the network.
-    let shed_engine = NetworkEngine::new(
-        &cache,
+    let mut builder = MultiEngine::builder(&cache);
+    let shed_tenant = builder.register(
+        "resnet",
         &net,
         &weights,
         (16, 16),
         true,
         analog,
-        EngineConfig {
+        TenantConfig {
             max_batch: 4,
             batch_window: Duration::from_millis(100),
             queue_capacity: 2,
             flow: FlowControl::Shed {
                 timeout: Duration::ZERO,
             },
-            workers: 1,
-            optimize_program: true,
-            ..EngineConfig::default()
+            weight: 1,
         },
     )?;
+    let shed_engine = builder.build()?;
     let mut accepted = 0usize;
     let mut shed = 0usize;
     let mut pending = Vec::new();
     for x in inputs.iter().take(8) {
-        match shed_engine.try_infer(x.clone()) {
+        match shed_engine.try_infer(shed_tenant, x.clone()) {
             Ok(p) => {
                 accepted += 1;
                 pending.push(p);
@@ -180,7 +187,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "\nshed demo (queue_capacity 2): accepted {accepted}, shed {shed} \
          (engine counter: {})",
-        shed_engine.stats().shed
+        shed_engine.tenant_stats(shed_tenant)?.shed
     );
     Ok(())
 }

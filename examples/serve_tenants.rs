@@ -6,8 +6,8 @@
 //! with drain weight 3 and a *standard* tenant with weight 1 — and
 //! serves concurrent client fleets for both through the shared scheduler
 //! threads and plan cache. Along the way it verifies the house
-//! invariant: each tenant's outputs are bit-identical to a dedicated
-//! single-tenant `NetworkEngine` serving the same requests. A final act
+//! invariant: each tenant's outputs are bit-identical to sequential
+//! reference execution of its own program. A final act
 //! shows per-tenant flow control: the standard tenant sheds its overflow
 //! while the premium tenant's `Block` traffic all completes.
 //!
@@ -15,11 +15,10 @@
 //! Knobs: `EPIM_THREADS` pins the worker pool width.
 
 use epim::models::lower::NetworkWeights;
+use epim::models::network::Network;
 use epim::models::zoo;
 use epim::pim::datapath::AnalogModel;
-use epim::runtime::{
-    EngineConfig, FlowControl, MultiEngine, NetworkEngine, PlanCache, RuntimeError, TenantConfig,
-};
+use epim::runtime::{FlowControl, MultiEngine, PlanCache, RuntimeError, TenantConfig};
 use epim::tensor::{init, rng, Tensor};
 use std::time::Duration;
 
@@ -108,30 +107,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )
     });
 
-    // House invariant: each tenant matches a dedicated engine, bit for
-    // bit — tenancy is a resource-sharing decision, never a semantic one.
-    let dedicated = |net, weights, reqs: &[Tensor]| -> Vec<Tensor> {
-        let engine = NetworkEngine::new(
-            &cache,
-            net,
-            weights,
-            (16, 16),
-            true,
-            analog,
-            EngineConfig {
-                max_batch: 4,
-                ..EngineConfig::default()
-            },
-        )
-        .expect("dedicated engine builds");
+    // House invariant: each tenant matches sequential reference execution
+    // of its own unoptimized program, bit for bit — tenancy is a
+    // resource-sharing decision, never a semantic one.
+    let reference = |net: &Network, weights, reqs: &[Tensor]| -> Vec<Tensor> {
+        let program = net.lower(16, 16).expect("network lowers");
         reqs.iter()
-            .map(|x| engine.infer(x.clone()).expect("inference succeeds").output)
+            .map(|x| {
+                program
+                    .forward_reference(weights, true, analog, x)
+                    .expect("reference executes")
+                    .0
+            })
             .collect()
     };
-    let premium_solo = dedicated(&premium_net, &premium_weights, &premium_reqs);
-    let standard_solo = dedicated(&standard_net, &standard_weights, &standard_reqs);
-    let exact = premium_outs == premium_solo && standard_outs == standard_solo;
-    println!("tenants == dedicated engines, bitwise: {exact}");
+    let premium_want = reference(&premium_net, &premium_weights, &premium_reqs);
+    let standard_want = reference(&standard_net, &standard_weights, &standard_reqs);
+    let exact = premium_outs == premium_want && standard_outs == standard_want;
+    println!("tenants == sequential reference, bitwise: {exact}");
     assert!(
         exact,
         "multi-tenant serving must be bit-identical per tenant"
@@ -203,7 +196,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 pending.push(p);
             }
             Err(RuntimeError::Overloaded { tenant, .. }) => {
-                assert_eq!(tenant.as_deref(), Some("standard"));
+                assert_eq!(tenant, "standard");
                 shed += 1;
             }
             Err(e) => return Err(e.into()),

@@ -1,7 +1,8 @@
 //! Serving-throughput demo: the `epim-runtime` engine coalescing
 //! concurrent inference requests into batched data-path executions.
 //!
-//! Spawns a small client fleet hammering one epitome layer, then compares
+//! Serves one epitome layer as a one-layer network tenant, spawns a small
+//! client fleet hammering it, then compares
 //! the engine's batched throughput against naive per-request execution and
 //! prints the serving statistics (batch histogram, p50/p99 latency, plan
 //! cache behavior).
@@ -10,8 +11,9 @@
 //! Knobs: `EPIM_THREADS` pins the worker pool width.
 
 use epim::core::{ConvShape, Epitome, EpitomeShape, EpitomeSpec};
+use epim::models::zoo;
 use epim::pim::datapath::AnalogModel;
-use epim::runtime::{Engine, EngineConfig, PlanCache};
+use epim::runtime::{MultiEngine, PlanCache, TenantConfig};
 use epim::tensor::ops::Conv2dCfg;
 use epim::tensor::{init, rng, Tensor};
 use std::time::{Duration, Instant};
@@ -35,19 +37,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..AnalogModel::ideal()
     };
 
+    // The layer as a one-layer network (3x3, stride 1, same padding over
+    // 16x16 inputs): it lowers to exactly one epitome stage.
+    let (net, weights) = zoo::epitome_layer_network(&epi, (16, 16));
     let cache = PlanCache::new();
-    let engine = Engine::with_cache(
-        &cache,
-        &epi,
-        cfg,
+    let mut builder = MultiEngine::builder(&cache);
+    let layer = builder.register(
+        "layer",
+        &net,
+        &weights,
+        (16, 16),
         true,
         analog,
-        EngineConfig {
+        TenantConfig {
             max_batch: 16,
             batch_window: Duration::from_micros(500),
-            ..EngineConfig::default()
+            ..TenantConfig::default()
         },
     )?;
+    let engine = builder.build()?;
+    let dp = cache.datapath(&epi, cfg, true, analog)?;
     println!(
         "engine up: {} worker threads, plan cache {:?}",
         epim::tensor::ops::gemm::num_threads_in_use(),
@@ -63,7 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Baseline: per-request execution on the same data path, no batching.
     let t0 = Instant::now();
     for x in &inputs {
-        engine.datapath().execute(x)?;
+        dp.execute(x)?;
     }
     let per_request = t0.elapsed();
 
@@ -75,14 +84,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let chunk = &inputs[client * REQUESTS_PER_CLIENT..(client + 1) * REQUESTS_PER_CLIENT];
             scope.spawn(move || {
                 for x in chunk {
-                    engine.infer(x.clone()).expect("inference succeeds");
+                    engine.infer(layer, x.clone()).expect("inference succeeds");
                 }
             });
         }
     });
     let served = t0.elapsed();
 
-    let stats = engine.stats();
+    let stats = engine.tenant_stats(layer)?;
     let n = inputs.len() as f64;
     println!("\nrequests:               {}", stats.requests);
     println!(
@@ -106,13 +115,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         per_request.as_secs_f64() / served.as_secs_f64()
     );
 
-    // The plan cache makes rebuilding an engine for the same spec cheap —
-    // e.g. re-programming weights after a training step.
+    // The plan cache makes serving the same spec again cheap — e.g.
+    // re-programming weights after a training step.
     let epi2 = Epitome::from_tensor(
         epi.spec().clone(),
         init::kaiming_normal(&[16, 8, 2, 2], &mut r),
     )?;
-    let _hot = Engine::with_cache(&cache, &epi2, cfg, true, analog, EngineConfig::default())?;
+    let (net2, weights2) = zoo::epitome_layer_network(&epi2, (16, 16));
+    let mut builder = MultiEngine::builder(&cache);
+    builder.register(
+        "reprogrammed",
+        &net2,
+        &weights2,
+        (16, 16),
+        true,
+        analog,
+        TenantConfig::default(),
+    )?;
+    let _hot = builder.build()?;
     println!("plan cache after reuse: {:?}", cache.stats());
     Ok(())
 }
