@@ -35,7 +35,8 @@ pub enum RuntimeError {
     },
     /// A bounded wait on a [`crate::Pending`] expired before the request
     /// completed. The request is still in flight: waiting again (or
-    /// polling the `Pending` as a future) can still deliver its result.
+    /// registering [`crate::Pending::on_complete`]) still delivers its
+    /// result.
     Timeout,
     /// The request's own deadline ([`crate::InferRequest::deadline`])
     /// passed before execution started. Unlike [`RuntimeError::Timeout`]

@@ -37,12 +37,14 @@
 //!    request deadlines, and a supervisor that respawns crashed workers.
 //!    [`TenantConfig`] is the one per-tenant config; the worker count and
 //!    restart budget are fleet-wide builder settings.
-//! 5. **Submission surface**: [`MultiEngine`] and its per-tenant
-//!    [`TenantHandle`] accept a bare tensor or a typed [`InferRequest`]
-//!    and return a [`Pending`] that supports blocking [`Pending::wait`],
-//!    bounded [`Pending::wait_timeout`] and `await` (it implements
-//!    [`std::future::Future`]); the `epim-serve` TCP front-end submits
-//!    through the same calls.
+//! 5. **Submission surface**: [`MultiEngine`] takes a [`TenantId`] and a
+//!    bare tensor or a typed [`InferRequest`] on three paths — blocking
+//!    `infer`, non-blocking `try_infer` and the burst `infer_many`. The
+//!    non-blocking path returns a [`Pending`] whose result is claimed by
+//!    waiting ([`Pending::wait`], bounded [`Pending::wait_timeout`]) or
+//!    pushed to a callback on completion ([`Pending::on_complete`]); the
+//!    `epim-serve` TCP front-end submits through `try_infer` and has
+//!    every completion pushed into its connection writer's channel.
 //!
 //! Serving health is observable through [`RuntimeStats`]: per-tenant
 //! queue-wait / service / end-to-end latency histograms (log-linear, exact
@@ -107,4 +109,4 @@ pub use network::NetworkPlan;
 pub use scheduler::{FlowControl, Inference, Pending, TenantConfig, DEFAULT_RESTART_BUDGET};
 pub use service::{InferRequest, CLIENT_NONE};
 pub use stats::{RuntimeStats, StageRollup};
-pub use tenancy::{MultiEngine, MultiEngineBuilder, TenantHandle, TenantId};
+pub use tenancy::{MultiEngine, MultiEngineBuilder, TenantId};

@@ -157,21 +157,24 @@ struct Request {
     slot: Arc<Slot>,
 }
 
+/// A completion callback registered through [`Pending::on_complete`].
+type Callback = Box<dyn FnOnce(Result<Inference, RuntimeError>) + Send>;
+
 /// What a slot holds between submission and delivery: the eventual
-/// result plus the waker of whatever task is polling the [`Pending`] as a
-/// future. One mutex covers both so a completion racing a `poll` can
-/// never lose a waker (deliver either sees the stored waker, or the
-/// poller re-checks the stored result after registering).
+/// result, or the callback that claims it on arrival. One mutex covers
+/// both so a delivery racing an `on_complete` can never lose either
+/// (delivery either finds the callback, or the registrant finds the
+/// result).
 #[derive(Default)]
 struct SlotState {
     result: Option<Result<Inference, RuntimeError>>,
-    waker: Option<std::task::Waker>,
+    callback: Option<Callback>,
 }
 
-/// Rendezvous between a submitter and a scheduler thread. Completion is
-/// broadcast two ways: the condvar (for the blocking `wait` /
-/// `wait_timeout` paths) and the registered [`std::task::Waker`] (for the
-/// future path) — a single slot supports both without busy-polling.
+/// Rendezvous between a submitter and a scheduler thread. Completion
+/// goes one of two ways: to a registered callback, run on the delivering
+/// thread, or into `result` with a condvar broadcast for the blocking
+/// `wait` / `wait_timeout` paths.
 #[derive(Default)]
 struct Slot {
     state: Mutex<SlotState>,
@@ -180,15 +183,35 @@ struct Slot {
 
 impl Slot {
     fn deliver(&self, result: Result<Inference, RuntimeError>) {
-        let waker = {
+        let callback = {
             let mut state = lock_recover(&self.state);
-            state.result = Some(result);
-            state.waker.take()
+            match state.callback.take() {
+                Some(callback) => Some((callback, result)),
+                None => {
+                    state.result = Some(result);
+                    None
+                }
+            }
         };
-        self.ready.notify_one();
-        if let Some(waker) = waker {
-            waker.wake();
+        match callback {
+            // Outside the lock: the callback may do anything non-blocking.
+            Some((callback, result)) => callback(result),
+            None => self.ready.notify_one(),
         }
+    }
+
+    fn on_complete(&self, callback: Callback) {
+        let result = {
+            let mut state = lock_recover(&self.state);
+            match state.result.take() {
+                Some(result) => result,
+                None => {
+                    state.callback = Some(callback);
+                    return;
+                }
+            }
+        };
+        callback(result);
     }
 
     fn wait(&self) -> Result<Inference, RuntimeError> {
@@ -215,39 +238,23 @@ impl Slot {
             guard = wait_timeout_recover(&self.ready, guard, left).0;
         }
     }
-
-    fn poll(
-        &self,
-        cx: &mut std::task::Context<'_>,
-    ) -> std::task::Poll<Result<Inference, RuntimeError>> {
-        let mut state = lock_recover(&self.state);
-        match state.result.take() {
-            Some(result) => std::task::Poll::Ready(result),
-            None => {
-                // Replace rather than clone_from: wakers from different
-                // executors must not be mixed up across polls.
-                state.waker = Some(cx.waker().clone());
-                std::task::Poll::Pending
-            }
-        }
-    }
 }
 
 /// An accepted-but-unfinished submission (returned by the non-blocking
 /// submission paths). Dropping it abandons the result; the request still
 /// executes.
 ///
-/// The result can be claimed three ways, all built on one condvar+waker
-/// slot filled at completion (never busy-polled):
+/// The result is filled into one slot at completion (never busy-polled)
+/// and can be claimed two ways:
 ///
-/// - **blocking**: [`Pending::wait`] parks the calling thread;
-/// - **bounded**: [`Pending::wait_timeout`] parks up to a deadline and
-///   returns [`RuntimeError::Timeout`] if the request is still in flight
-///   (the `Pending` stays usable — wait again or poll);
-/// - **async**: `Pending` implements [`std::future::Future`], waking the
-///   registered [`std::task::Waker`] on completion, so any runtime-free
-///   executor (see `epim-serve`'s connection multiplexer) can drive many
-///   in-flight requests from one thread.
+/// - **waiting**: [`Pending::wait`] parks the calling thread;
+///   [`Pending::wait_timeout`] parks up to a deadline and returns
+///   [`RuntimeError::Timeout`] if the request is still in flight (the
+///   `Pending` stays usable);
+/// - **pushed**: [`Pending::on_complete`] hands the result to a callback
+///   on the delivering thread, so one consumer (the `epim-serve`
+///   connection writer) can collect many in-flight requests from a
+///   single channel without parking on any of them.
 pub struct Pending {
     slot: Arc<Slot>,
 }
@@ -276,10 +283,11 @@ impl Pending {
     ///
     /// On [`RuntimeError::Timeout`] the request is **still in flight**
     /// and this handle is still live: call `wait_timeout` again, upgrade
-    /// to a blocking [`Pending::wait`], or poll it as a future. Any other
-    /// return (success or error) consumes the result; a later call would
-    /// block on a slot that will never fill again, which is why this
-    /// takes `&mut self` and the result-claiming paths take `self`.
+    /// to a blocking [`Pending::wait`], or hand it to
+    /// [`Pending::on_complete`]. Any other return (success or error)
+    /// consumes the result; a later call would block on a slot that will
+    /// never fill again, which is why this takes `&mut self` and the
+    /// result-claiming paths take `self`.
     ///
     /// # Errors
     ///
@@ -290,25 +298,25 @@ impl Pending {
     }
 
     /// True once a result (or error) has been delivered and not yet
-    /// claimed. A `true` here means the next `wait`/poll returns
-    /// immediately.
+    /// claimed. A `true` here means the next `wait` returns immediately
+    /// and `on_complete` runs its callback inline.
     pub fn is_ready(&self) -> bool {
         lock_recover(&self.slot.state).result.is_some()
     }
-}
 
-impl std::future::Future for Pending {
-    type Output = Result<Inference, RuntimeError>;
-
-    /// Completes with the inference result; wakes the stored waker when
-    /// the scheduler delivers. After returning `Ready` the result is
-    /// claimed — polling again would pend forever, as for any future
-    /// polled after completion.
-    fn poll(
-        self: std::pin::Pin<&mut Self>,
-        cx: &mut std::task::Context<'_>,
-    ) -> std::task::Poll<Self::Output> {
-        self.slot.poll(cx)
+    /// Hands the result to `f` instead of waiting for it. `f` runs
+    /// exactly once: inline on the calling thread if the result is
+    /// already there, otherwise on the scheduler thread that delivers
+    /// it, outside the slot lock. Every request is guaranteed a
+    /// delivery, so `f` always runs unless the engine itself is leaked.
+    ///
+    /// `f` usually runs on a scheduler thread, so it **must not block**
+    /// (a blocking callback stalls that worker and every tenant queued
+    /// behind it) and must not panic (a panic unwinds the worker, failing
+    /// the rest of its group). Sending on an unbounded channel is the
+    /// intended use.
+    pub fn on_complete(self, f: impl FnOnce(Result<Inference, RuntimeError>) + Send + 'static) {
+        self.slot.on_complete(Box::new(f));
     }
 }
 
@@ -823,12 +831,13 @@ fn fail_fleet(shared: &Shared, restarts: u32) {
 fn drain_all(shared: &Shared, error: RuntimeError) {
     let mut queue = lock_recover(&shared.queue);
     queue.shutdown = true;
-    for pending in &mut queue.pending {
-        for request in pending.drain(..) {
-            request.slot.deliver(Err(error.clone()));
-        }
-    }
+    let drained: Vec<Request> = queue.pending.iter_mut().flat_map(|q| q.drain(..)).collect();
     drop(queue);
+    // Delivered outside the queue lock: completion callbacks never run
+    // under it.
+    for request in drained {
+        request.slot.deliver(Err(error.clone()));
+    }
     shared.submitted.notify_all();
     shared.space.notify_all();
 }
@@ -868,31 +877,39 @@ fn others_pending(queue: &QueueSet, tenant: usize) -> bool {
         .any(|(t, q)| t != tenant && !q.is_empty())
 }
 
-/// Sheds every queued request whose deadline has already passed,
-/// delivering the typed [`RuntimeError::DeadlineExceeded`] and recording
-/// per-tenant counters. Returns whether anything was shed (queue space
-/// freed). The caller holds the queue lock; slot delivery and the stats
-/// mutex are leaf locks (nothing takes the queue lock while holding
-/// either), so taking them underneath cannot deadlock.
-fn shed_expired(queue: &mut QueueSet, shared: &Shared) -> bool {
+/// Removes every queued request whose deadline has already passed and
+/// records the per-tenant counters. The caller holds the queue lock (the
+/// stats mutex is a leaf lock, so taking it underneath cannot deadlock)
+/// and hands the result to [`deliver_expired`] after releasing it.
+fn take_expired(queue: &mut QueueSet, shared: &Shared) -> Vec<Request> {
     let now = Instant::now();
-    let mut any = false;
+    let mut shed = Vec::new();
     for (t, pending) in queue.pending.iter_mut().enumerate() {
-        let mut expired = 0u64;
-        pending.retain(|request| match request.deadline {
-            Some(d) if d <= now => {
-                request.slot.deliver(Err(RuntimeError::DeadlineExceeded));
-                expired += 1;
-                false
+        let before = shed.len();
+        let mut i = 0;
+        while i < pending.len() {
+            match pending[i].deadline {
+                Some(d) if d <= now => shed.push(pending.remove(i).expect("index checked")),
+                _ => i += 1,
             }
-            _ => true,
-        });
+        }
+        let expired = (shed.len() - before) as u64;
         if expired > 0 {
             lock_recover(&shared.tenants[t].stats).record_deadline_exceeded(expired);
-            any = true;
         }
     }
-    any
+    shed
+}
+
+/// Delivers the typed [`RuntimeError::DeadlineExceeded`] to requests
+/// taken by [`take_expired`] — outside the queue lock, so completion
+/// callbacks never run under it — and wakes submitters waiting for the
+/// queue space they freed.
+fn deliver_expired(shared: &Shared, shed: Vec<Request>) {
+    for request in shed {
+        request.slot.deliver(Err(RuntimeError::DeadlineExceeded));
+    }
+    shared.space.notify_all();
 }
 
 /// Blocks for the next same-shape request group of some tenant, honoring
@@ -918,8 +935,11 @@ fn next_group(shared: &Shared) -> Option<(usize, Vec<Request>)> {
         // Expired requests are shed before a tenant is picked: a batch
         // slot must never be spent on an answer nobody is waiting for.
         // Shedding may empty every queue, so re-enter the park loop.
-        if shed_expired(&mut queue, shared) {
-            shared.space.notify_all();
+        let shed = take_expired(&mut queue, shared);
+        if !shed.is_empty() {
+            drop(queue);
+            deliver_expired(shared, shed);
+            queue = lock_recover(&shared.queue);
             continue 'regroup;
         }
 
@@ -960,9 +980,14 @@ fn next_group(shared: &Shared) -> Option<(usize, Vec<Request>)> {
             }
         }
         // Requests may have expired while the batch window held them
-        // open; shed them now rather than batching them.
-        if shed_expired(&mut queue, shared) {
-            shared.space.notify_all();
+        // open; shed them now rather than batching them. The lock is
+        // released for the delivery, so the drain below re-checks the
+        // queue (it already tolerates a raced-away head).
+        let shed = take_expired(&mut queue, shared);
+        if !shed.is_empty() {
+            drop(queue);
+            deliver_expired(shared, shed);
+            queue = lock_recover(&shared.queue);
         }
         if queue.pending[tenant].is_empty() {
             queue.refund(tenant, config.weight);

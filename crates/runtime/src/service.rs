@@ -1,6 +1,6 @@
 //! The typed request message every submission path accepts.
 //!
-//! [`crate::MultiEngine`] and [`crate::TenantHandle`] take
+//! [`crate::MultiEngine`]'s submission calls take
 //! `impl Into<InferRequest>`: a bare [`Tensor`] converts, and callers that
 //! need request metadata (the client/connection tag the wire path threads
 //! into enqueue trace spans, or a completion deadline) build an

@@ -47,8 +47,9 @@
 //! )?;
 //! let engine = builder.build()?;
 //!
-//! // Handles carry their tenant id; per-tenant and fleet stats coexist.
-//! let _ = (premium, standard);
+//! // Every call names its tenant; per-tenant and fleet stats coexist.
+//! let _ = engine.tenant_stats(premium)?;
+//! let _ = engine.tenant_stats(standard)?;
 //! let fleet = engine.fleet_stats();
 //! # let _ = fleet;
 //! # Ok(())
@@ -271,18 +272,6 @@ impl MultiEngine {
         Ok(id.index)
     }
 
-    /// A borrowing handle binding this engine to one tenant id — the
-    /// ergonomic per-tenant submission surface.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::UnknownTenant`] for an id this engine did
-    /// not issue.
-    pub fn tenant(&self, id: TenantId) -> Result<TenantHandle<'_>, RuntimeError> {
-        self.index_of(id)?;
-        Ok(TenantHandle { engine: self, id })
-    }
-
     /// The compiled plan tenant `id` serves.
     ///
     /// # Errors
@@ -316,8 +305,7 @@ impl MultiEngine {
 
     /// Submits to tenant `id` without ever blocking on queue space (full
     /// queue → shed immediately); the returned [`Pending`] waits for the
-    /// result. Accepts a bare [`Tensor`] or a tagged [`InferRequest`];
-    /// [`MultiEngine::tenant`] yields the per-tenant form of this call.
+    /// result. Accepts a bare [`Tensor`] or a tagged [`InferRequest`].
     ///
     /// # Errors
     ///
@@ -399,66 +387,5 @@ impl MultiEngine {
         // shared), so the counter is written once, unlabeled.
         crate::stats::write_supervision_prometheus(&mut w, self.fleet_stats().worker_restarts);
         w.render()
-    }
-}
-
-/// A cheap borrowing handle binding a [`MultiEngine`] to one tenant id:
-/// the per-tenant submission surface, which is what servers and tests
-/// hold for a one-tenant fleet.
-#[derive(Clone, Copy)]
-pub struct TenantHandle<'a> {
-    engine: &'a MultiEngine,
-    id: TenantId,
-}
-
-impl<'a> TenantHandle<'a> {
-    /// The id this handle carries.
-    pub fn id(self) -> TenantId {
-        self.id
-    }
-
-    /// The tenant's registered name.
-    pub fn name(self) -> &'a str {
-        &self.engine.tenant_names()[self.id.index]
-    }
-
-    /// See [`MultiEngine::infer`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`MultiEngine::infer`].
-    pub fn infer(self, req: impl Into<InferRequest>) -> Result<Inference, RuntimeError> {
-        self.engine.infer(self.id, req)
-    }
-
-    /// See [`MultiEngine::try_infer`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`MultiEngine::try_infer`].
-    pub fn try_infer(self, req: impl Into<InferRequest>) -> Result<Pending, RuntimeError> {
-        self.engine.try_infer(self.id, req)
-    }
-
-    /// See [`MultiEngine::infer_many`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`MultiEngine::infer_many`].
-    #[allow(clippy::type_complexity)]
-    pub fn infer_many(
-        self,
-        inputs: Vec<Tensor>,
-    ) -> Result<Vec<Result<Inference, RuntimeError>>, RuntimeError> {
-        self.engine.infer_many(self.id, inputs)
-    }
-
-    /// See [`MultiEngine::tenant_stats`].
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`MultiEngine::tenant_stats`].
-    pub fn stats(self) -> Result<RuntimeStats, RuntimeError> {
-        self.engine.tenant_stats(self.id)
     }
 }

@@ -1,9 +1,8 @@
-//! Integration tests for the submission surface: every submission path
-//! (`MultiEngine` and `TenantHandle`, blocking, non-blocking and burst)
-//! must deliver the same bits for every kind of tenant, and [`Pending`]
-//! must deliver results through every one of its three consumption modes
-//! — blocking `wait()`, bounded `wait_timeout()` and `await` under a
-//! runtime-free hand-rolled executor.
+//! Integration tests for the submission surface: every `MultiEngine`
+//! submission path (blocking, non-blocking and burst) must deliver the
+//! same bits for every kind of tenant, and [`Pending`] must deliver
+//! results through each way of claiming them — blocking `wait()`,
+//! bounded `wait_timeout()` and the pushed `on_complete` callback.
 
 use epim_core::{ConvShape, Epitome, EpitomeShape, EpitomeSpec};
 use epim_models::lower::NetworkWeights;
@@ -11,15 +10,14 @@ use epim_models::network::Network;
 use epim_models::zoo;
 use epim_pim::datapath::AnalogModel;
 use epim_runtime::{
-    InferRequest, MultiEngine, MultiEngineBuilder, Pending, PlanCache, RuntimeError, TenantConfig,
-    TenantId,
+    InferRequest, Inference, MultiEngine, MultiEngineBuilder, Pending, PlanCache, RuntimeError,
+    TenantConfig, TenantId,
 };
 use epim_tensor::{init, rng, Tensor};
-use std::future::Future;
-use std::pin::Pin;
-use std::sync::{Arc, Condvar, Mutex};
-use std::task::{Context, Poll, Wake, Waker};
-use std::time::Duration;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc};
+use std::thread::ThreadId;
+use std::time::{Duration, Instant};
 
 fn analog() -> AnalogModel {
     AnalogModel {
@@ -74,49 +72,10 @@ fn reference(
         .collect()
 }
 
-/// A minimal single-future executor built only on std: parks on a
-/// condvar, woken by the `Waker` the future registers. This is the
-/// acceptance check that `Pending` integrates with *any* runtime, not
-/// that it happens to work with a specific one.
-struct Parker {
-    woken: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl Wake for Parker {
-    fn wake(self: Arc<Self>) {
-        let mut woken = self.woken.lock().unwrap();
-        *woken = true;
-        self.cv.notify_one();
-    }
-}
-
-fn block_on<F: Future>(fut: F) -> F::Output {
-    let mut fut = std::pin::pin!(fut);
-    let parker = Arc::new(Parker {
-        woken: Mutex::new(false),
-        cv: Condvar::new(),
-    });
-    let waker = Waker::from(Arc::clone(&parker));
-    let mut cx = Context::from_waker(&waker);
-    loop {
-        match fut.as_mut().poll(&mut cx) {
-            Poll::Ready(out) => return out,
-            Poll::Pending => {
-                let mut woken = parker.woken.lock().unwrap();
-                while !*woken {
-                    woken = parker.cv.wait(woken).unwrap();
-                }
-                *woken = false;
-            }
-        }
-    }
-}
-
-/// Every submission path — the engine's and the tenant handle's
-/// blocking, non-blocking and burst calls — serves bit-identical outputs
-/// to the reference, for a one-layer tenant and a whole-network tenant
-/// sharing one fleet.
+/// Every submission path — blocking `infer`, `try_infer` claimed by
+/// `wait` or by `on_complete`, and the burst `infer_many` — serves
+/// bit-identical outputs to the reference, for a one-layer tenant and a
+/// whole-network tenant sharing one fleet.
 #[test]
 fn submission_paths_agree_bitwise_with_reference() {
     let layer = layer_network();
@@ -130,27 +89,34 @@ fn submission_paths_agree_bitwise_with_reference() {
     let engine = builder.build().unwrap();
 
     let mut r = rng::seeded(6);
-    for (id, model, hw) in [(layer_id, &layer, 8), (net_id, &network, 16)] {
+    for (name, id, model, hw) in [
+        ("layer", layer_id, &layer, 8),
+        ("net", net_id, &network, 16),
+    ] {
         let c = model.0.backbone().layers[0].conv.cin;
         let inputs: Vec<Tensor> = (0..3)
             .map(|_| init::uniform(&[1, c, hw, hw], -1.0, 1.0, &mut r))
             .collect();
         let want = reference(model, hw, &inputs);
-        let handle = engine.tenant(id).unwrap();
-        let burst = |results: Vec<Result<epim_runtime::Inference, RuntimeError>>| {
-            results
-                .into_iter()
-                .map(|res| res.unwrap().output)
-                .collect::<Vec<_>>()
+        let pushed = {
+            let (tx, rx) = mpsc::channel();
+            for (i, x) in inputs.iter().enumerate() {
+                let tx = tx.clone();
+                engine
+                    .try_infer(id, InferRequest::new(x.clone()))
+                    .unwrap()
+                    .on_complete(move |res| tx.send((i, res)).unwrap());
+            }
+            drop(tx);
+            let mut got: Vec<(usize, Tensor)> =
+                rx.iter().map(|(i, res)| (i, res.unwrap().output)).collect();
+            got.sort_by_key(|(i, _)| *i);
+            got.into_iter().map(|(_, out)| out).collect()
         };
-        let paths: [Vec<Tensor>; 6] = [
+        let paths: [Vec<Tensor>; 4] = [
             inputs
                 .iter()
                 .map(|x| engine.infer(id, x.clone()).unwrap().output)
-                .collect(),
-            inputs
-                .iter()
-                .map(|x| handle.infer(InferRequest::new(x.clone())).unwrap().output)
                 .collect(),
             inputs
                 .iter()
@@ -159,109 +125,100 @@ fn submission_paths_agree_bitwise_with_reference() {
                 .into_iter()
                 .map(|p| p.wait().unwrap().output)
                 .collect(),
-            inputs
-                .iter()
-                .map(|x| handle.try_infer(x.clone()).unwrap())
-                .collect::<Vec<Pending>>()
+            pushed,
+            engine
+                .infer_many(id, inputs.clone())
+                .unwrap()
                 .into_iter()
-                .map(|p| p.wait().unwrap().output)
+                .map(|res| res.unwrap().output)
                 .collect(),
-            burst(engine.infer_many(id, inputs.clone()).unwrap()),
-            burst(handle.infer_many(inputs.clone()).unwrap()),
         ];
         for (i, got) in paths.iter().enumerate() {
-            assert_eq!(
-                got,
-                &want,
-                "{}: submission path {i} diverged",
-                handle.name()
-            );
+            assert_eq!(got, &want, "{name}: submission path {i} diverged");
         }
-        assert_eq!(handle.stats().unwrap().requests, 18);
+        assert_eq!(engine.tenant_stats(id).unwrap().requests, 12);
     }
 }
 
-/// `Pending` as a `Future`: awaiting results under a minimal hand-rolled
-/// executor (no async runtime anywhere in the workspace) matches the
-/// blocking path bitwise, and the waker fires without busy-polling.
+/// What an `on_complete` callback saw: the thread it ran on and the
+/// result it was handed.
+type Completion = (ThreadId, Result<Inference, RuntimeError>);
+
+/// Registers a callback on `pending` that counts its runs in `calls` and
+/// reports its thread and result on the returned channel.
+fn push_completion(pending: Pending, calls: &Arc<AtomicUsize>) -> mpsc::Receiver<Completion> {
+    let (tx, rx) = mpsc::channel();
+    let calls = Arc::clone(calls);
+    pending.on_complete(move |res| {
+        calls.fetch_add(1, Ordering::SeqCst);
+        tx.send((std::thread::current().id(), res)).unwrap();
+    });
+    rx
+}
+
+/// `Pending::on_complete` pushes every outcome exactly once: registered
+/// before delivery it runs on the delivering scheduler thread with the
+/// reference bits; registered after `is_ready()` it runs inline on the
+/// caller; and a typed error (a deadline that expires inside the batch
+/// window) reaches the callback like a result does.
 #[test]
-fn pending_resolves_as_future_under_handrolled_executor() {
+fn on_complete_pushes_results_and_errors_exactly_once() {
+    // max_batch 8 with single submissions: the batcher holds each request
+    // for the whole 400 ms window, so the callback below is registered
+    // long before delivery.
     let (engine, id) = layer_fleet(TenantConfig {
-        max_batch: 4,
-        batch_window: Duration::from_millis(2),
+        max_batch: 8,
+        batch_window: Duration::from_millis(400),
         ..TenantConfig::default()
     });
-    let mut r = rng::seeded(7);
-    let inputs: Vec<Tensor> = (0..6)
+    let mut r = rng::seeded(9);
+    let inputs: Vec<Tensor> = (0..2)
         .map(|_| init::uniform(&[1, 4, 8, 8], -1.0, 1.0, &mut r))
         .collect();
     let want = reference(&layer_network(), 8, &inputs);
+    let here = std::thread::current().id();
+    let calls = Arc::new(AtomicUsize::new(0));
 
-    // Await them one at a time (single-future executor), but submit all
-    // up front so the batcher still coalesces.
-    let pendings: Vec<Pending> = inputs
-        .iter()
-        .map(|x| engine.try_infer(id, x.clone()).unwrap())
-        .collect();
-    let got: Vec<Tensor> = pendings
-        .into_iter()
-        .map(|p| block_on(p).unwrap().output)
-        .collect();
-    assert_eq!(got, want);
-
-    // A joined pair through one future: poll-driven multiplexing.
-    let p1 = engine.try_infer(id, inputs[0].clone()).unwrap();
-    let p2 = engine.try_infer(id, inputs[1].clone()).unwrap();
-    let joined = block_on(Join2 {
-        a: Some(p1),
-        b: Some(p2),
-        out_a: None,
-        out_b: None,
-    });
-    assert_eq!(joined.0.unwrap().unwrap().output, want[0]);
-    assert_eq!(joined.1.unwrap().unwrap().output, want[1]);
-}
-
-/// A tiny join combinator so the executor test exercises re-polling with
-/// one result ready and the other still pending.
-struct Join2 {
-    a: Option<Pending>,
-    b: Option<Pending>,
-    out_a: Option<Result<epim_runtime::Inference, RuntimeError>>,
-    out_b: Option<Result<epim_runtime::Inference, RuntimeError>>,
-}
-
-impl Future for Join2 {
-    #[allow(clippy::type_complexity)]
-    type Output = (
-        Option<Result<epim_runtime::Inference, RuntimeError>>,
-        Option<Result<epim_runtime::Inference, RuntimeError>>,
+    // Registered before delivery: runs later, on a scheduler thread.
+    let pending = engine.try_infer(id, inputs[0].clone()).unwrap();
+    assert!(!pending.is_ready());
+    let rx = push_completion(pending, &calls);
+    assert_eq!(calls.load(Ordering::SeqCst), 0, "fired before delivery");
+    let (thread, res) = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+    assert_ne!(
+        thread, here,
+        "a pending callback runs on the delivering thread"
     );
+    assert_eq!(res.unwrap().output, want[0]);
+    assert_eq!(calls.load(Ordering::SeqCst), 1);
 
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        let this = self.get_mut();
-        if this.out_a.is_none() {
-            if let Some(p) = this.a.as_mut() {
-                if let Poll::Ready(r) = Pin::new(p).poll(cx) {
-                    this.out_a = Some(r);
-                    this.a = None;
-                }
-            }
-        }
-        if this.out_b.is_none() {
-            if let Some(p) = this.b.as_mut() {
-                if let Poll::Ready(r) = Pin::new(p).poll(cx) {
-                    this.out_b = Some(r);
-                    this.b = None;
-                }
-            }
-        }
-        if this.out_a.is_some() && this.out_b.is_some() {
-            Poll::Ready((this.out_a.take(), this.out_b.take()))
-        } else {
-            Poll::Pending
-        }
+    // Registered after the result arrived: runs inline, before
+    // `on_complete` returns.
+    let pending = engine.try_infer(id, inputs[1].clone()).unwrap();
+    let give_up = Instant::now() + Duration::from_secs(10);
+    while !pending.is_ready() {
+        assert!(Instant::now() < give_up, "request never completed");
+        std::thread::sleep(Duration::from_millis(1));
     }
+    let rx = push_completion(pending, &calls);
+    let (thread, res) = rx.try_recv().expect("a ready result is pushed inline");
+    assert_eq!(thread, here, "a ready callback runs on the caller");
+    assert_eq!(res.unwrap().output, want[1]);
+    assert_eq!(calls.load(Ordering::SeqCst), 2);
+
+    // A deadline far inside the batch window: the scheduler sheds the
+    // request and the typed error reaches the callback.
+    let req = InferRequest::new(inputs[0].clone())
+        .with_deadline(Instant::now() + Duration::from_millis(30));
+    let rx = push_completion(engine.try_infer(id, req).unwrap(), &calls);
+    let (_, res) = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+    assert_eq!(res.unwrap_err(), RuntimeError::DeadlineExceeded);
+    assert_eq!(engine.tenant_stats(id).unwrap().deadline_exceeded, 1);
+
+    // Exactly once: nothing fires again once the engine has drained.
+    drop(engine);
+    assert_eq!(calls.load(Ordering::SeqCst), 3);
+    assert!(rx.try_recv().is_err());
 }
 
 /// `wait_timeout` against a deliberately stalled worker: a lone request

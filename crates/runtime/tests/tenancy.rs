@@ -123,10 +123,9 @@ fn two_tenant_serving_is_bit_identical_to_reference() {
     assert_eq!(fleet.datapath, want_dp);
     assert_eq!(fleet.queue_depth, 0);
 
-    // Handles carry the ids and reach the same tenants.
-    let handle = engine.tenant(id_a).unwrap();
-    assert_eq!(handle.name(), "a");
-    assert_eq!(handle.stats().unwrap().requests, stats_a.requests);
+    // Names resolve back to the same ids.
+    assert_eq!(engine.tenant_names(), ["a", "b"]);
+    assert_eq!(engine.tenant_id("a"), Some(id_a));
     assert_eq!(engine.tenant_id("b"), Some(id_b));
 }
 
@@ -443,7 +442,11 @@ fn tenancy_misuse_yields_typed_errors() {
         Err(RuntimeError::UnknownTenant { id: 0 })
     ));
     assert!(matches!(
-        solo.tenant(id_b),
+        solo.try_infer(id_b, x.clone()),
+        Err(RuntimeError::UnknownTenant { .. })
+    ));
+    assert!(matches!(
+        solo.infer_many(id_b, vec![x.clone()]),
         Err(RuntimeError::UnknownTenant { .. })
     ));
     assert!(matches!(

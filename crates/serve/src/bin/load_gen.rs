@@ -13,6 +13,9 @@
 //! Requests round-robin over the fleet's tenants with deterministic
 //! seeded inputs. Reports sustained QPS and p50/p99/p999 end-to-end
 //! latency, as a human summary plus one machine-readable JSON line.
+//! Open-loop latency is timed from each request's due time, so a sender
+//! that falls behind its schedule shows up as latency; a reply whose id
+//! matches no submitted request is an error.
 //!
 //! `--deadline-ms` attaches a relative completion deadline to every
 //! request; replies shed server-side come back as typed `deadline` error
@@ -172,20 +175,19 @@ fn drive_open_loop(
     let client = Client::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     let (mut sender, mut receiver) = client.split();
     let n = workload.len();
-    // Ids are monotonic from 1 in submission order, so id -> input index
-    // and submit timestamp are plain vectors under one lock.
-    let send_times = std::sync::Arc::new(std::sync::Mutex::new(vec![None::<Instant>; n]));
-    let times_tx = std::sync::Arc::clone(&send_times);
+    // Request `k` is due at `epoch + k * interval`, and latency is timed
+    // from that due time, not from the send: a sender running late must
+    // not hide the queueing delay it caused. Ids are monotonic from 1 in
+    // submission order, so a reply's id names its request index.
+    let epoch = Instant::now();
+    let due = |k: usize| epoch + interval.mul_f64(k as f64);
 
     std::thread::scope(|scope| {
         let send = scope.spawn(move || -> Result<_, String> {
-            let epoch = Instant::now();
             for (k, (tenant, input)) in workload.into_iter().enumerate() {
-                let due = epoch + interval.mul_f64(k as f64);
-                if let Some(wait) = due.checked_duration_since(Instant::now()) {
+                if let Some(wait) = due(k).checked_duration_since(Instant::now()) {
                     std::thread::sleep(wait);
                 }
-                times_tx.lock().unwrap()[k] = Some(Instant::now());
                 sender
                     .submit_with_deadline(&tenant, input, deadline_ms)
                     .map_err(|e| format!("submit {k}: {e}"))?;
@@ -201,13 +203,13 @@ fn drive_open_loop(
                     Ok(resp) => (resp.id, Some(resp.output), None),
                     Err(err) => (err.id, None, Some((err.code, err.message))),
                 };
-                let k = (id.wrapping_sub(1)) as usize;
-                let sent = send_times.lock().unwrap().get(k).copied().flatten();
-                let latency = sent
-                    .map(|t0| done.duration_since(t0))
-                    .unwrap_or(Duration::ZERO);
+                let Some(k) = usize::try_from(id.wrapping_sub(1)).ok().filter(|&k| k < n) else {
+                    return Err(format!(
+                        "reply for unknown request id {id} (error: {error:?})"
+                    ));
+                };
                 samples.push(Sample {
-                    latency,
+                    latency: done.saturating_duration_since(due(k)),
                     input_idx: k,
                     output,
                     error,

@@ -131,7 +131,8 @@ impl FleetConfig {
     ///
     /// [`RuntimeError::InvalidConfig`] naming the offending line for
     /// anything outside that grammar, a duplicate or missing tenant
-    /// name, or an empty fleet.
+    /// name, a zero `workers`, a `weight` beyond `u32`, or an empty
+    /// fleet.
     pub fn parse(text: &str) -> Result<Self, RuntimeError> {
         let bad = |what: String| RuntimeError::InvalidConfig { what };
         let mut cfg = FleetConfig {
@@ -164,7 +165,15 @@ impl FleetConfig {
                 })
             };
             match (&mut current, key) {
-                (None, "workers") => cfg.workers = int(value)?.max(1) as usize,
+                (None, "workers") => match usize::try_from(int(value)?) {
+                    Ok(workers) if workers > 0 => cfg.workers = workers,
+                    _ => {
+                        return Err(bad(format!(
+                            "fleet config line {}: `workers` must be a positive count",
+                            lineno + 1
+                        )))
+                    }
+                },
                 (None, other) => {
                     return Err(bad(format!(
                         "fleet config line {}: unknown top-level key `{other}`",
@@ -188,7 +197,15 @@ impl FleetConfig {
                 (Some(t), "max_batch") => t.max_batch = int(value)? as usize,
                 (Some(t), "batch_window_ms") => t.batch_window_ms = int(value)?,
                 (Some(t), "queue_capacity") => t.queue_capacity = int(value)? as usize,
-                (Some(t), "weight") => t.weight = int(value)? as u32,
+                (Some(t), "weight") => {
+                    t.weight = u32::try_from(int(value)?).map_err(|_| {
+                        bad(format!(
+                            "fleet config line {}: `weight` exceeds {}",
+                            lineno + 1,
+                            u32::MAX
+                        ))
+                    })?;
+                }
                 (Some(_), other) => {
                     return Err(bad(format!(
                         "fleet config line {}: unknown tenant key `{other}`",
@@ -309,6 +326,11 @@ mod tests {
             ("[[tenant]]\nname = \"a\"\nbogus = 1", "unknown key"),
             ("nonsense", "not an assignment"),
             ("[[tenant]]\nname = \"a\"\nmid = x", "non-integer"),
+            (
+                "[[tenant]]\nname = \"a\"\nweight = 4294967297",
+                "weight overflows u32",
+            ),
+            ("workers = 0\n[[tenant]]\nname = \"a\"", "zero workers"),
         ] {
             let err = FleetConfig::parse(text).unwrap_err();
             assert!(

@@ -15,14 +15,13 @@
 //!   the same [`fleet::FleetConfig`] bit-identical, which is what the
 //!   load generator's `--check` mode and the bench identity gate compare
 //!   against.
-//! - [`mux`] — the waker-driven completion multiplexer: one writer
-//!   thread parks on a condvar while polling every in-flight
-//!   [`epim_runtime::Pending`] as a `Future`; the scheduler's delivery
-//!   wakes it. No busy-polling anywhere on the serving path.
 //! - [`server`] — accept loop, per-connection reader/writer session
 //!   threads mapping wire tenants onto the fleet's non-blocking
 //!   [`epim_runtime::MultiEngine::try_infer`] path, and graceful drain
-//!   (stop accepting, answer in-flight, goodbye, join).
+//!   (stop accepting, answer in-flight, goodbye, join). Completions are
+//!   pushed into the writer's channel by
+//!   [`epim_runtime::Pending::on_complete`], so the writer blocks on one
+//!   channel and nothing on the serving path polls or naps.
 //! - [`client`] — a blocking pipelining client, splittable into
 //!   sender/receiver halves for open-loop load generation, plus
 //!   [`client::ResilientClient`]: automatic reconnection with jittered
@@ -37,12 +36,10 @@
 
 pub mod client;
 pub mod fleet;
-pub mod mux;
 pub mod server;
 pub mod wire;
 
 pub use client::{Client, ClientReceiver, ClientSender, Reply, ResilientClient};
 pub use fleet::{FleetConfig, TenantSpec};
-pub use mux::Mux;
 pub use server::{ServeReport, Server};
 pub use wire::{Message, WireError, WireHealth, WireRequest, WireResponse};

@@ -5,13 +5,20 @@
 //! request frames, resolves the wire tenant name against the fleet and
 //! submits through the non-blocking [`MultiEngine::try_infer`] path —
 //! tagging every submission with the connection id, which the scheduler
-//! threads into its `Enqueue` trace spans — then hands the in-flight
-//! [`Pending`] to the **writer**. The writer multiplexes all of the
-//! connection's in-flight requests through a [`Mux`] (waker-parked, never
-//! busy-polling) and streams responses back in completion order; request
+//! threads into its `Enqueue` trace spans — and registers a
+//! [`Pending::on_complete`] callback that pushes the result into the
+//! channel the **writer** reads. Everything the writer answers (results,
+//! submission errors, health replies) arrives on that one channel, so it
+//! blocks on a single `recv`, drains what else is queued, and flushes once
+//! per wake-up; responses stream back in completion order and request
 //! ids, not arrival order, correlate replies. A full tenant queue turns
 //! into a typed `overloaded` error frame; a malformed frame turns into a
 //! `protocol` error frame and a close.
+//!
+//! Every outstanding callback holds a clone of the channel's sender, so
+//! the channel closes exactly when the reader has stopped and every
+//! in-flight request has been answered: that is the session's drain
+//! condition.
 //!
 //! Resilience controls:
 //!
@@ -36,20 +43,21 @@
 //! answered, sends `Goodbye` frames and joins every session thread
 //! before [`Server::serve`] returns.
 //!
+//! [`Pending::on_complete`]: epim_runtime::Pending::on_complete
+//!
 //! Fault injection (`epim-faults`, disabled at one relaxed atomic load
 //! per site): `conn_reset` severs a connection instead of writing a
 //! response, `torn_frame` writes half a response frame then severs, and
 //! `accept_stall` delays the accept loop.
 
-use crate::mux::Mux;
 use crate::wire::{self, Message, WireError, WireHealth, WireResponse};
 use epim_faults as faults;
-use epim_runtime::{InferRequest, MultiEngine, RuntimeError, TenantId};
+use epim_runtime::{InferRequest, Inference, MultiEngine, RuntimeError, TenantId};
 use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -328,10 +336,12 @@ struct SessionCtx {
     max_frame: u32,
 }
 
-/// Reader-to-writer handoff for one connection.
+/// Everything the writer answers, pushed by the reader or (for
+/// [`SessionMsg::Done`]) by the scheduler thread that completed the
+/// request.
 enum SessionMsg {
-    /// A submitted request whose completion the writer multiplexes.
-    InFlight(u64, epim_runtime::Pending),
+    /// A submitted request's result.
+    Done(u64, Result<Inference, RuntimeError>),
     /// A request that failed at submission: reply immediately.
     Immediate(u64, u16, String),
     /// A health probe: reply with the fleet snapshot.
@@ -418,7 +428,10 @@ fn reader_loop(
                 }
                 match ctx.engine.try_infer(tid, infer_req) {
                     Ok(pending) => {
-                        let _ = tx.send(SessionMsg::InFlight(req.id, pending));
+                        let (id, tx) = (req.id, tx.clone());
+                        pending.on_complete(move |result| {
+                            let _ = tx.send(SessionMsg::Done(id, result));
+                        });
                     }
                     Err(e) => {
                         let _ = tx.send(SessionMsg::Immediate(
@@ -522,33 +535,28 @@ enum Handled {
     Close,
 }
 
-/// Processes one reader handoff inside [`writer_loop`].
-fn handle_msg(
-    writer: &mut BufWriter<TcpStream>,
-    counters: &Counters,
-    mux: &mut Mux,
-    msg: SessionMsg,
-    flush_immediate: bool,
-) -> Handled {
-    match msg {
-        SessionMsg::InFlight(id, pending) => mux.push(id, pending),
+/// Writes the reply to one [`SessionMsg`] (unflushed).
+fn handle_msg(writer: &mut BufWriter<TcpStream>, counters: &Counters, msg: SessionMsg) -> Handled {
+    let reply = match msg {
+        SessionMsg::Done(id, Ok(inference)) => Message::Response(WireResponse {
+            id,
+            batch_size: inference.batch_size as u32,
+            latency_ns: inference.latency.as_nanos().min(u64::MAX as u128) as u64,
+            output: inference.output,
+        }),
+        SessionMsg::Done(id, Err(e)) => {
+            counters.error_frames.fetch_add(1, Ordering::Relaxed);
+            Message::Error(WireError {
+                id,
+                code: wire::error_code(&e),
+                message: e.to_string(),
+            })
+        }
         SessionMsg::Immediate(id, code, message) => {
             counters.error_frames.fetch_add(1, Ordering::Relaxed);
-            if write_msg(writer, &Message::Error(WireError { id, code, message })).is_err() {
-                return Handled::Close;
-            }
-            if flush_immediate && writer.flush().is_err() {
-                return Handled::Close;
-            }
+            Message::Error(WireError { id, code, message })
         }
-        SessionMsg::Health(health) => {
-            if write_msg(writer, &Message::Health(health)).is_err() {
-                return Handled::Close;
-            }
-            if flush_immediate && writer.flush().is_err() {
-                return Handled::Close;
-            }
-        }
+        SessionMsg::Health(health) => Message::Health(health),
         SessionMsg::Fatal(id, code, message) => {
             counters.error_frames.fetch_add(1, Ordering::Relaxed);
             let _ = write_msg(writer, &Message::Error(WireError { id, code, message }));
@@ -556,97 +564,37 @@ fn handle_msg(
             return Handled::Close;
         }
         SessionMsg::Bye => return Handled::SawBye,
+    };
+    match write_msg(writer, &reply) {
+        Ok(()) => Handled::Continue,
+        Err(_) => Handled::Close,
     }
-    Handled::Continue
 }
 
+/// Answers everything on `rx` until the channel closes — the reader has
+/// stopped and every in-flight request's callback has run — then says
+/// goodbye if the reader saw an orderly end. One blocking `recv` per
+/// wake-up, then whatever else is already queued, then one flush.
 fn writer_loop(
     mut writer: BufWriter<TcpStream>,
     rx: Receiver<SessionMsg>,
     counters: Arc<Counters>,
 ) {
-    let mut mux = Mux::new();
     let mut saw_bye = false;
-    let mut disconnected = false;
-
-    let write_result =
-        |writer: &mut BufWriter<TcpStream>,
-         counters: &Counters,
-         id: u64,
-         result: Result<epim_runtime::Inference, RuntimeError>| {
-            let msg = match result {
-                Ok(inference) => Message::Response(WireResponse {
-                    id,
-                    batch_size: inference.batch_size as u32,
-                    latency_ns: inference.latency.as_nanos().min(u64::MAX as u128) as u64,
-                    output: inference.output,
-                }),
-                Err(e) => {
-                    counters.error_frames.fetch_add(1, Ordering::Relaxed);
-                    Message::Error(WireError {
-                        id,
-                        code: wire::error_code(&e),
-                        message: e.to_string(),
-                    })
-                }
-            };
-            write_msg(writer, &msg)
-        };
-
-    'outer: loop {
-        // Take everything the reader has handed over so far.
-        loop {
-            match rx.try_recv() {
-                Ok(msg) => match handle_msg(&mut writer, &counters, &mut mux, msg, false) {
-                    Handled::Continue => {}
-                    Handled::SawBye => saw_bye = true,
-                    Handled::Close => break 'outer,
-                },
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    disconnected = true;
-                    break;
-                }
-            }
-        }
-        // Answer everything that has completed.
-        for (id, result) in mux.poll_ready() {
-            if write_result(&mut writer, &counters, id, result).is_err() {
-                break 'outer;
+    while let Ok(first) = rx.recv() {
+        for msg in std::iter::once(first).chain(rx.try_iter()) {
+            match handle_msg(&mut writer, &counters, msg) {
+                Handled::Continue => {}
+                Handled::SawBye => saw_bye = true,
+                Handled::Close => return,
             }
         }
         if writer.flush().is_err() {
-            break 'outer;
+            return;
         }
-        if (saw_bye || disconnected) && mux.is_empty() {
-            if saw_bye {
-                let _ = Message::Goodbye.write(&mut writer);
-                let _ = writer.flush();
-            }
-            break 'outer;
-        }
-        // Park until the next event: a completion (waker-driven, wakes
-        // immediately) or a new handoff from the reader (bounded nap —
-        // the common closed-loop path parks directly on the channel).
-        if mux.is_empty() {
-            match rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(msg) => match handle_msg(&mut writer, &counters, &mut mux, msg, true) {
-                    Handled::Continue => {}
-                    Handled::SawBye => saw_bye = true,
-                    Handled::Close => break 'outer,
-                },
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => disconnected = true,
-            }
-        } else {
-            for (id, result) in mux.wait_ready(Some(Duration::from_millis(10))) {
-                if write_result(&mut writer, &counters, id, result).is_err() {
-                    break 'outer;
-                }
-            }
-            if writer.flush().is_err() {
-                break 'outer;
-            }
-        }
+    }
+    if saw_bye {
+        let _ = Message::Goodbye.write(&mut writer);
+        let _ = writer.flush();
     }
 }

@@ -14,7 +14,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn start(
     cfg: &FleetConfig,
@@ -267,5 +267,54 @@ fn drain_answers_in_flight_requests() {
 
     let report = server.join().unwrap();
     assert_eq!(report.requests, 3);
+    assert_eq!(report.error_frames, 0);
+}
+
+/// The writer answers whatever arrives first on its one channel: a
+/// health probe sent while a request is held in flight by a 400 ms batch
+/// window is answered long before that request completes. The request is
+/// still answered bit-identically afterwards, and the close ends with
+/// the server's goodbye.
+#[test]
+fn health_is_answered_while_a_request_is_in_flight() {
+    let mut spec = TenantSpec::new("slow", 8, 4, 10, 7);
+    spec.max_batch = 8;
+    spec.batch_window_ms = 400;
+    let cfg = FleetConfig {
+        workers: 1,
+        tenants: vec![spec],
+    };
+    let (addr, flag, server) = start(&cfg, None);
+    let reference = cfg.build().unwrap();
+    let slow = reference.tenant_id("slow").unwrap();
+
+    let mut client = Client::connect(&addr.to_string()).unwrap();
+    let x = inputs(1, 654).remove(0);
+    let submitted = Instant::now();
+    let id = client.submit("slow", x.clone()).unwrap();
+    // Fails with a protocol error if the response overtook the probe.
+    let health = client.health().unwrap();
+    let answered = submitted.elapsed();
+    assert_eq!(health.tenants, ["slow"]);
+    assert!(
+        answered < Duration::from_millis(200),
+        "health waited {answered:?} behind an in-flight request"
+    );
+
+    let resp = client.recv_reply().unwrap().expect("no error frame");
+    assert_eq!(resp.id, id);
+    assert!(
+        submitted.elapsed() >= Duration::from_millis(300),
+        "the window should have held the request"
+    );
+    let want = reference.infer(slow, x).unwrap().output;
+    assert_eq!(want.data(), resp.output.data());
+    client
+        .close()
+        .expect("the close must end with a goodbye frame");
+
+    flag.store(true, Ordering::SeqCst);
+    let report = server.join().unwrap();
+    assert_eq!(report.requests, 1);
     assert_eq!(report.error_frames, 0);
 }
