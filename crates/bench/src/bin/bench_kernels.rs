@@ -1,8 +1,8 @@
 //! Kernel performance tracking: seed baselines vs the blocked kernel layer.
 //!
 //! Each entry times the *seed repository's* implementation of a hot loop
-//! (naive ikj matmul, unfused im2col conv with a per-pixel bias lookup, the
-//! per-pixel table-walking data path) against the current optimized path on
+//! (naive ikj matmul, the unfused im2col conv pipeline, the per-pixel
+//! table-walking data path) against the current optimized path on
 //! identical inputs, verifies the outputs agree, and records the speedup.
 //! Results go to `BENCH_kernels.json` so the perf trajectory is tracked
 //! from PR 1 onward; later PRs extend the entry list rather than replacing
@@ -28,7 +28,10 @@
 //!   baseline's speedup, i.e. a >25% relative slowdown fails the gate.
 //! - **Correctness**: any entry whose committed `max_abs_diff` is exactly
 //!   `0` is a bit-identity gate (batching/serving restructurings); a
-//!   nonzero fresh value fails immediately.
+//!   nonzero fresh value fails immediately. Every other entry that compares
+//!   outputs (all but the informational ones) fails on a fresh
+//!   `max_abs_diff` above [`DIFF_TOLERANCE`]: a different summation order
+//!   stays far below it, a kernel bug does not.
 //! - **Coverage**: every committed entry must still be produced (the
 //!   entry list is append-only history).
 //!
@@ -37,15 +40,15 @@
 //! `BENCH_kernels.json` as write-only history.
 
 use epim::core::{ConvShape, Epitome, EpitomeShape, EpitomeSpec};
-use epim::models::lower::NetworkWeights;
+use epim::models::lower::{NetworkProgram, NetworkWeights};
 use epim::models::network::Network;
 use epim::models::zoo;
 use epim::pim::datapath::{AnalogModel, DataPath};
 use epim::runtime::{MultiEngine, NetworkPlan, PlanCache, TenantConfig, TenantId};
-use epim::tensor::ops::gemm::reference_matmul;
+use epim::tensor::ops::gemm::{self, reference_matmul};
 use epim::tensor::ops::{
-    add_relu_slice, add_slice, conv2d, conv2d_into, conv2d_out_dims, conv2d_ref, global_avg_pool,
-    im2col, max_pool2d, relu, relu_slice, softmax_rows, softmax_rows_scalar, Conv2dCfg, PoolCfg,
+    add_relu_slice, add_slice, conv2d, conv2d_into, conv2d_out_dims, global_avg_pool, im2col,
+    max_pool2d, relu, relu_slice, softmax_rows, softmax_rows_scalar, Conv2dCfg, PoolCfg,
 };
 use epim::tensor::{init, rng, Tensor};
 use serde::Serialize;
@@ -63,6 +66,19 @@ struct Entry {
     speedup: f64,
     /// Maximum absolute output difference between the two implementations.
     max_abs_diff: f64,
+}
+
+impl Entry {
+    /// A timed comparison: `speedup` is `baseline_ms / optimized_ms`.
+    fn timed(name: &str, baseline_ms: f64, optimized_ms: f64, max_abs_diff: f64) -> Entry {
+        Entry {
+            name: name.to_string(),
+            baseline_ms,
+            optimized_ms,
+            speedup: baseline_ms / optimized_ms,
+            max_abs_diff,
+        }
+    }
 }
 
 /// The emitted report.
@@ -91,6 +107,57 @@ fn max_abs_diff(a: &[f32], b: &[f32]) -> f64 {
         .zip(b)
         .map(|(x, y)| (x - y).abs() as f64)
         .fold(0.0, f64::max)
+}
+
+/// The largest [`max_abs_diff`] over two bursts of outputs, pairwise.
+fn burst_diff(want: &[Tensor], got: &[Tensor]) -> f64 {
+    assert_eq!(want.len(), got.len(), "bursts differ in length");
+    want.iter()
+        .zip(got)
+        .map(|(a, b)| max_abs_diff(a.data(), b.data()))
+        .fold(0.0, f64::max)
+}
+
+/// Stride 1, padding 1: the size-preserving 3x3 geometry most entries time.
+const SAME_3X3: Conv2dCfg = Conv2dCfg {
+    stride: 1,
+    padding: 1,
+};
+
+/// 9-bit DACs and 8-bit ADCs: the quantized analog model the serving
+/// entries time.
+fn a9adc8() -> AnalogModel {
+    AnalogModel {
+        adc_bits: Some(8),
+        dac_bits: Some(9),
+        ..AnalogModel::ideal()
+    }
+}
+
+/// The zoo's tiny epitome ResNet (stem 8, inner width `inner`, 10 classes)
+/// with seeded random weights, lowered for 16x16 inputs.
+fn tiny_resnet(inner: usize, weight_seed: u64) -> (Network, NetworkWeights, NetworkProgram) {
+    let (net, _) = zoo::tiny_epitome_network(8, inner, 10).expect("legal spec");
+    let weights = NetworkWeights::random(&net, weight_seed).expect("weights build");
+    let program = net.lower(16, 16).expect("lowers");
+    (net, weights, program)
+}
+
+/// Sequential per-stage reference execution of `xs`, one input at a time.
+fn reference_outputs(
+    program: &NetworkProgram,
+    weights: &NetworkWeights,
+    analog: AnalogModel,
+    xs: &[Tensor],
+) -> Vec<Tensor> {
+    xs.iter()
+        .map(|x| {
+            program
+                .forward_reference(weights, true, analog, x)
+                .expect("reference executes")
+                .0
+        })
+        .collect()
 }
 
 /// The tenant config every serving-burst entry times: one burst of 8 is
@@ -139,41 +206,54 @@ fn bench_gemm(entries: &mut Vec<Entry>, reps: usize, sizes: &[usize]) {
             reference_matmul(s, s, s, a.data(), b.data(), &mut c_base)
         });
         let (optimized_ms, c_opt) = time_best(reps, || a.matmul(&b).expect("square matmul"));
-        entries.push(Entry {
-            name: format!("gemm_{s}x{s}x{s}"),
+        entries.push(Entry::timed(
+            &format!("gemm_{s}x{s}x{s}"),
             baseline_ms,
             optimized_ms,
-            speedup: baseline_ms / optimized_ms,
-            max_abs_diff: max_abs_diff(&c_base, c_opt.data()),
-        });
+            max_abs_diff(&c_base, c_opt.data()),
+        ));
     }
 }
 
-/// The seed's conv2d: im2col, naive ikj matmul against an explicitly
-/// materialized transposed weight, then a second rearrange pass with the
-/// bias resolved per output pixel.
-fn seed_conv2d(x: &Tensor, weight: &Tensor, bias: Option<&Tensor>, cfg: Conv2dCfg) -> Tensor {
-    let (n, c_in) = (x.shape()[0], x.shape()[1]);
+/// A row-major `(m, n, k)` GEMM writing `c = a · b`: the signature shared by
+/// `reference_matmul` and `gemm::gemm`.
+type Matmul = fn(usize, usize, usize, &[f32], &[f32], &mut [f32]);
+
+/// The unfused conv pipeline: im2col, `matmul` against an explicitly
+/// materialized transposed weight, then a plane-major rearrange to NCHW
+/// that resolves the bias once per output plane. On `reference_matmul` it
+/// is the seed's conv; on `gemm::gemm` (what `Tensor::matmul` runs) it
+/// isolates the fusion win of `conv2d`.
+fn unfused_conv2d(
+    x: &Tensor,
+    weight: &Tensor,
+    bias: Option<&Tensor>,
+    cfg: Conv2dCfg,
+    matmul: Matmul,
+) -> Tensor {
+    let (n, c_in, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
     let (c_out, kh, kw) = (weight.shape()[0], weight.shape()[2], weight.shape()[3]);
-    let (h, w) = (x.shape()[2], x.shape()[3]);
-    let (oh, ow) = epim::tensor::ops::conv2d_out_dims(h, w, kh, kw, cfg).expect("geometry");
+    let (oh, ow) = conv2d_out_dims(h, w, kh, kw, cfg).expect("geometry");
     let cols = im2col(x, kh, kw, cfg).expect("geometry");
-    let wmat = weight.reshape(&[c_out, c_in * kh * kw]).expect("reshape");
-    let wt = wmat.transpose().expect("transpose");
-    let rows = n * oh * ow;
     let ckk = c_in * kh * kw;
+    let wt = weight
+        .reshape(&[c_out, ckk])
+        .and_then(|wmat| wmat.transpose())
+        .expect("weight matrix");
+    let rows = n * oh * ow;
     let mut out_mat = vec![0.0f32; rows * c_out];
-    reference_matmul(rows, c_out, ckk, cols.data(), wt.data(), &mut out_mat);
+    matmul(rows, c_out, ckk, cols.data(), wt.data(), &mut out_mat);
+
+    // Rearrange (N*OH*OW, C_out) -> (N, C_out, OH, OW), adding bias.
     let mut out = Tensor::zeros(&[n, c_out, oh, ow]);
     let od = out.data_mut();
     for ni in 0..n {
-        for oy in 0..oh {
-            for ox in 0..ow {
-                let row = (ni * oh + oy) * ow + ox;
-                for co in 0..c_out {
-                    let b = bias.map(|bb| bb.data()[co]).unwrap_or(0.0);
-                    od[((ni * c_out + co) * oh + oy) * ow + ox] = out_mat[row * c_out + co] + b;
-                }
+        for co in 0..c_out {
+            let b = bias.map(|bb| bb.data()[co]).unwrap_or(0.0);
+            let plane = &mut od[(ni * c_out + co) * oh * ow..(ni * c_out + co + 1) * oh * ow];
+            for (p, slot) in plane.iter_mut().enumerate() {
+                let row = ni * oh * ow + p;
+                *slot = out_mat[row * c_out + co] + b;
             }
         }
     }
@@ -186,64 +266,49 @@ fn bench_conv(entries: &mut Vec<Entry>, reps: usize) {
     let x = init::uniform(&[1, 32, 32, 32], -1.0, 1.0, &mut r);
     let wt = init::uniform(&[64, 32, 3, 3], -1.0, 1.0, &mut r);
     let b = init::uniform(&[64], -1.0, 1.0, &mut r);
-    let cfg = Conv2dCfg {
-        stride: 1,
-        padding: 1,
-    };
+    let cfg = SAME_3X3;
 
-    let (baseline_ms, y_base) = time_best(reps, || seed_conv2d(&x, &wt, Some(&b), cfg));
+    let (baseline_ms, y_base) = time_best(reps, || {
+        unfused_conv2d(&x, &wt, Some(&b), cfg, reference_matmul)
+    });
     let (optimized_ms, y_opt) =
         time_best(reps, || conv2d(&x, &wt, Some(&b), cfg).expect("geometry"));
-    entries.push(Entry {
-        name: "conv2d_64x32x3x3_on_32x32".to_string(),
+    entries.push(Entry::timed(
+        "conv2d_64x32x3x3_on_32x32",
         baseline_ms,
         optimized_ms,
-        speedup: baseline_ms / optimized_ms,
-        max_abs_diff: max_abs_diff(y_base.data(), y_opt.data()),
-    });
+        max_abs_diff(y_base.data(), y_opt.data()),
+    ));
 
     // The unfused-but-current-matmul path, to isolate the fusion win.
-    let (ref_ms, y_ref) = time_best(reps, || {
-        conv2d_ref(&x, &wt, Some(&b), cfg).expect("geometry")
-    });
-    entries.push(Entry {
-        name: "conv2d_fused_vs_unfused_64x32x3x3".to_string(),
-        baseline_ms: ref_ms,
+    let (ref_ms, y_ref) = time_best(reps, || unfused_conv2d(&x, &wt, Some(&b), cfg, gemm::gemm));
+    entries.push(Entry::timed(
+        "conv2d_fused_vs_unfused_64x32x3x3",
+        ref_ms,
         optimized_ms,
-        speedup: ref_ms / optimized_ms,
-        max_abs_diff: max_abs_diff(y_ref.data(), y_opt.data()),
-    });
+        max_abs_diff(y_ref.data(), y_opt.data()),
+    ));
 }
 
 fn bench_datapath(entries: &mut Vec<Entry>, reps: usize) {
-    // Same geometry as the criterion microbench `datapath_execute`.
     let spec = EpitomeSpec::new(ConvShape::new(32, 16, 3, 3), EpitomeShape::new(16, 8, 2, 2))
         .expect("legal spec");
     let mut r = rng::seeded(3);
     let data = init::kaiming_normal(&spec.shape().dims(), &mut r);
     let epi = Epitome::from_tensor(spec, data).expect("shape matches");
-    let dp = DataPath::new(
-        &epi,
-        Conv2dCfg {
-            stride: 1,
-            padding: 1,
-        },
-        true,
-    )
-    .expect("data path builds");
+    let dp = DataPath::new(&epi, SAME_3X3, true).expect("data path builds");
     let x = init::uniform(&[1, 16, 8, 8], -1.0, 1.0, &mut r);
 
     let (baseline_ms, y_base) = time_best(reps, || {
         dp.execute_reference(&x).expect("execution succeeds").0
     });
     let (optimized_ms, y_opt) = time_best(reps, || dp.execute(&x).expect("execution succeeds").0);
-    entries.push(Entry {
-        name: "datapath_execute_32x16x3x3_on_8x8".to_string(),
+    entries.push(Entry::timed(
+        "datapath_execute_32x16x3x3_on_8x8",
         baseline_ms,
         optimized_ms,
-        speedup: baseline_ms / optimized_ms,
-        max_abs_diff: max_abs_diff(y_base.data(), y_opt.data()),
-    });
+        max_abs_diff(y_base.data(), y_opt.data()),
+    ));
 }
 
 fn bench_reconstruct(entries: &mut Vec<Entry>, reps: usize) {
@@ -289,13 +354,12 @@ fn bench_reconstruct(entries: &mut Vec<Entry>, reps: usize) {
     };
     let (baseline_ms, y_base) = time_best(reps, seed_reconstruct);
     let (optimized_ms, y_opt) = time_best(reps, || epi.reconstruct().expect("reconstructs"));
-    entries.push(Entry {
-        name: "epitome_reconstruct_512x256x3x3".to_string(),
+    entries.push(Entry::timed(
+        "epitome_reconstruct_512x256x3x3",
         baseline_ms,
         optimized_ms,
-        speedup: baseline_ms / optimized_ms,
-        max_abs_diff: max_abs_diff(y_base.data(), y_opt.data()),
-    });
+        max_abs_diff(y_base.data(), y_opt.data()),
+    ));
 }
 
 /// The serving-runtime layer: batched data-path execution and the engine's
@@ -309,22 +373,14 @@ fn bench_runtime(entries: &mut Vec<Entry>, reps: usize) {
     let mut r = rng::seeded(3);
     let data = init::kaiming_normal(&spec.shape().dims(), &mut r);
     let epi = Epitome::from_tensor(spec, data).expect("shape matches");
-    let cfg = Conv2dCfg {
-        stride: 1,
-        padding: 1,
-    };
+    let cfg = SAME_3X3;
     let xs: Vec<Tensor> = (0..8)
         .map(|_| init::uniform(&[1, 16, 16, 16], -1.0, 1.0, &mut r))
         .collect();
     let refs: Vec<&Tensor> = xs.iter().collect();
-    let a9adc8 = AnalogModel {
-        adc_bits: Some(8),
-        dac_bits: Some(9),
-        ..AnalogModel::ideal()
-    };
 
     // execute_batch vs 8 per-request execute calls, ideal and quantized.
-    for (analog, label) in [(AnalogModel::ideal(), "ideal"), (a9adc8, "a9adc8")] {
+    for (analog, label) in [(AnalogModel::ideal(), "ideal"), (a9adc8(), "a9adc8")] {
         let dp = DataPath::with_analog(&epi, cfg, true, analog).expect("data path builds");
         let (baseline_ms, seq) = time_best(reps, || {
             refs.iter()
@@ -333,27 +389,21 @@ fn bench_runtime(entries: &mut Vec<Entry>, reps: usize) {
         });
         let (optimized_ms, batched) =
             time_best(reps, || dp.execute_batch(&refs).expect("executes").0);
-        let diff = seq
-            .iter()
-            .zip(&batched)
-            .map(|(a, b)| max_abs_diff(a.data(), b.data()))
-            .fold(0.0, f64::max);
-        entries.push(Entry {
-            name: format!("runtime_batch_datapath_{label}_batch8"),
+        entries.push(Entry::timed(
+            &format!("runtime_batch_datapath_{label}_batch8"),
             baseline_ms,
             optimized_ms,
-            speedup: baseline_ms / optimized_ms,
-            max_abs_diff: diff,
-        });
+            burst_diff(&seq, &batched),
+        ));
     }
 
     // The whole serving engine (queue + batcher thread + plan cache) vs a
     // bare sequential loop over the same data path.
     let cache = PlanCache::new();
     let (net, weights) = zoo::epitome_layer_network(&epi, (16, 16));
-    let (engine, id) = burst_fleet(&cache, &net, &weights, (16, 16), a9adc8);
+    let (engine, id) = burst_fleet(&cache, &net, &weights, (16, 16), a9adc8());
     let dp = cache
-        .datapath(&epi, cfg, true, a9adc8)
+        .datapath(&epi, cfg, true, a9adc8())
         .expect("data path builds");
     let (baseline_ms, seq) = time_best(reps, || {
         refs.iter()
@@ -361,18 +411,12 @@ fn bench_runtime(entries: &mut Vec<Entry>, reps: usize) {
             .collect::<Vec<_>>()
     });
     let (optimized_ms, served) = time_best(reps, || serve_burst(&engine, id, &xs));
-    let diff = seq
-        .iter()
-        .zip(&served)
-        .map(|(a, b)| max_abs_diff(a.data(), b.data()))
-        .fold(0.0, f64::max);
-    entries.push(Entry {
-        name: "runtime_engine_serve_burst8".to_string(),
+    entries.push(Entry::timed(
+        "runtime_engine_serve_burst8",
         baseline_ms,
         optimized_ms,
-        speedup: baseline_ms / optimized_ms,
-        max_abs_diff: diff,
-    });
+        burst_diff(&seq, &served),
+    ));
 }
 
 /// Multi-image GEMM batching in conv2d: N per-image `conv2d` calls (the
@@ -386,10 +430,7 @@ fn bench_conv_batched(entries: &mut Vec<Entry>, reps: usize) {
         let x = init::uniform(&[n, c_in, hw, hw], -1.0, 1.0, &mut r);
         let wt = init::uniform(&[c_out, c_in, 3, 3], -1.0, 1.0, &mut r);
         let b = init::uniform(&[c_out], -1.0, 1.0, &mut r);
-        let cfg = Conv2dCfg {
-            stride: 1,
-            padding: 1,
-        };
+        let cfg = SAME_3X3;
         let plane = c_in * hw * hw;
         let images: Vec<Tensor> = (0..n)
             .map(|ni| {
@@ -417,13 +458,12 @@ fn bench_conv_batched(entries: &mut Vec<Entry>, reps: usize) {
                 max_abs_diff(yi.data(), &stacked.data()[ni * oplane..(ni + 1) * oplane])
             })
             .fold(0.0, f64::max);
-        entries.push(Entry {
-            name: format!("conv2d_batched_gemm_{c_out}x{c_in}x3x3_on_{hw}x{hw}_n{n}"),
+        entries.push(Entry::timed(
+            &format!("conv2d_batched_gemm_{c_out}x{c_in}x3x3_on_{hw}x{hw}_n{n}"),
             baseline_ms,
             optimized_ms,
-            speedup: baseline_ms / optimized_ms,
-            max_abs_diff: diff,
-        });
+            diff,
+        ));
     }
 }
 
@@ -444,32 +484,17 @@ fn bench_conv_batched(entries: &mut Vec<Entry>, reps: usize) {
 ///   stacked source resident (deterministic bytes, not timings; the
 ///   "speedup" is the memory shrink factor).
 fn bench_network(entries: &mut Vec<Entry>, reps: usize) {
-    // The zoo's tiny ResNet (stem 8, inner width 8, 10 classes) is the
-    // exact backbone+spec this entry has always timed.
-    let (net, _) = zoo::tiny_epitome_network(8, 8, 10).expect("legal spec");
-    let weights = NetworkWeights::random(&net, 7).expect("weights build");
-    let analog = AnalogModel {
-        adc_bits: Some(8),
-        dac_bits: Some(9),
-        ..AnalogModel::ideal()
-    };
-    let program = net.lower(16, 16).expect("lowers");
+    // The tiny ResNet at inner width 8 is the exact backbone+spec this
+    // entry has always timed.
+    let (net, weights, program) = tiny_resnet(8, 7);
+    let analog = a9adc8();
 
     let mut r = rng::seeded(401);
     let xs: Vec<Tensor> = (0..8)
         .map(|_| init::uniform(&[1, 3, 16, 16], -1.0, 1.0, &mut r))
         .collect();
 
-    let (baseline_ms, seq) = time_best(reps, || {
-        xs.iter()
-            .map(|x| {
-                program
-                    .forward_reference(&weights, true, analog, x)
-                    .expect("reference executes")
-                    .0
-            })
-            .collect::<Vec<_>>()
-    });
+    let (baseline_ms, seq) = time_best(reps, || reference_outputs(&program, &weights, analog, &xs));
 
     let cache = PlanCache::new();
     cache.warm_network(&net).expect("cache warms");
@@ -492,41 +517,23 @@ fn bench_network(entries: &mut Vec<Entry>, reps: usize) {
         .expect("tenant registers");
     let engine = builder.build().expect("engine builds");
     let serve = |id| serve_burst(&engine, id, &xs);
-    // Alternate the two tenants within one loop: a load spike hits both
-    // the same way instead of skewing whichever happened to run under it.
-    // The high repetition count is what separates the ~10% fusion win
-    // from worker-wakeup jitter (each serve is only ~0.4 ms).
-    let mut raw_out = serve(raw);
-    let mut fused_out = serve(fused);
-    let (mut raw_ms, mut fused_ms) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..25 * reps {
-        let t0 = Instant::now();
-        raw_out = serve(raw);
-        raw_ms = raw_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-        let t0 = Instant::now();
-        fused_out = serve(fused);
-        fused_ms = fused_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    let diff_vs_seq = |served: &[Tensor]| {
-        seq.iter()
-            .zip(served)
-            .map(|(a, b)| max_abs_diff(a.data(), b.data()))
-            .fold(0.0, f64::max)
-    };
-    entries.push(Entry {
-        name: "network_pipeline_resnet_burst8".to_string(),
+    // The high repetition count of the interleaved loop is what separates
+    // the ~10% fusion win from worker-wakeup jitter (each serve is only
+    // ~0.4 ms).
+    let ((raw_ms, raw_out), (fused_ms, fused_out)) =
+        interleaved_best(reps, |_| {}, || serve(raw), || serve(fused));
+    entries.push(Entry::timed(
+        "network_pipeline_resnet_burst8",
         baseline_ms,
-        optimized_ms: raw_ms,
-        speedup: baseline_ms / raw_ms,
-        max_abs_diff: diff_vs_seq(&raw_out),
-    });
-    entries.push(Entry {
-        name: "network_fused_resnet_burst8".to_string(),
+        raw_ms,
+        burst_diff(&seq, &raw_out),
+    ));
+    entries.push(Entry::timed(
+        "network_fused_resnet_burst8",
         baseline_ms,
-        optimized_ms: fused_ms,
-        speedup: baseline_ms / fused_ms,
-        max_abs_diff: diff_vs_seq(&fused_out),
-    });
+        fused_ms,
+        burst_diff(&seq, &fused_out),
+    ));
 
     // One resident buffer per unoptimized stage activation plus the
     // stacked source, for a full group.
@@ -564,10 +571,7 @@ fn bench_fusion(entries: &mut Vec<Entry>, reps: usize) {
     let x = init::uniform(&[n, c_in, hw, hw], -1.0, 1.0, &mut r);
     let wt = init::uniform(&[c_out, c_in, 3, 3], -1.0, 1.0, &mut r);
     let b = init::uniform(&[c_out], -1.0, 1.0, &mut r);
-    let cfg = Conv2dCfg {
-        stride: 1,
-        padding: 1,
-    };
+    let cfg = SAME_3X3;
     let (oh, ow) = conv2d_out_dims(hw, hw, 3, 3, cfg).expect("geometry");
     let mut cols = vec![0.0f32; n * oh * ow * c_in * 9];
     let mut pre = vec![0.0f32; n * c_out * oh * ow];
@@ -601,13 +605,12 @@ fn bench_fusion(entries: &mut Vec<Entry>, reps: usize) {
         .expect("geometry")
     });
     let y_tensor = relu(&conv2d(&x, &wt, Some(&b), cfg).expect("geometry"));
-    entries.push(Entry {
-        name: "fused_conv_bias_relu_32x16".to_string(),
+    entries.push(Entry::timed(
+        "fused_conv_bias_relu_32x16",
         baseline_ms,
         optimized_ms,
-        speedup: baseline_ms / optimized_ms,
-        max_abs_diff: max_abs_diff(&two_pass, &fused).max(max_abs_diff(y_tensor.data(), &fused)),
-    });
+        max_abs_diff(&two_pass, &fused).max(max_abs_diff(y_tensor.data(), &fused)),
+    ));
 
     // Residual add + relu: two traversals vs the single-traversal fused
     // kernel (the shape of every post-shortcut rectification).
@@ -622,162 +625,110 @@ fn bench_fusion(entries: &mut Vec<Entry>, reps: usize) {
         relu_slice(&tmp, &mut two_pass);
     });
     let (optimized_ms, ()) = time_best(reps, || add_relu_slice(a.data(), bb.data(), &mut one_pass));
-    entries.push(Entry {
-        name: "fused_add_relu".to_string(),
+    entries.push(Entry::timed(
+        "fused_add_relu",
         baseline_ms,
         optimized_ms,
-        speedup: baseline_ms / optimized_ms,
-        max_abs_diff: max_abs_diff(&two_pass, &one_pass),
-    });
+        max_abs_diff(&two_pass, &one_pass),
+    ));
 }
 
-/// Observability overhead: the fused serving burst with tracing disabled
-/// (one relaxed atomic load per hook) as the baseline vs the same burst
-/// with the trace ring recording every span. The "speedup" is the
-/// disabled/enabled wall-time ratio — expected within timing noise of
-/// 1.0x; it *dropping* means recording got more expensive, which is
-/// exactly what the CI gate's one-sided slowdown check catches. Both
-/// modes must stay bit-identical to sequential reference execution
-/// (`max_abs_diff` exactly 0 is the correctness gate: tracing must never
-/// perturb the arithmetic). The absolute perf of the disabled path is
-/// separately gated by `network_fused_resnet_burst8`, whose serve now
-/// runs through the same (disabled) hooks.
-fn bench_tracing(entries: &mut Vec<Entry>, reps: usize) {
-    let (net, _) = zoo::tiny_epitome_network(8, 8, 10).expect("legal spec");
-    let weights = NetworkWeights::random(&net, 7).expect("weights build");
-    let analog = AnalogModel {
-        adc_bits: Some(8),
-        dac_bits: Some(9),
-        ..AnalogModel::ideal()
-    };
-    let program = net.lower(16, 16).expect("lowers");
+/// Times `a` and `b` alternately within one loop (best of `25 * reps`
+/// calls each, after one warmup call each), so a load spike hits both the
+/// same way instead of skewing whichever happened to run under it.
+/// `switch(true)` runs untimed before every call of `a`, `switch(false)`
+/// before every call of `b`. Returns each side's best wall time in
+/// milliseconds and its last output.
+fn interleaved_best<R>(
+    reps: usize,
+    switch: impl Fn(bool),
+    mut a: impl FnMut() -> R,
+    mut b: impl FnMut() -> R,
+) -> ((f64, R), (f64, R)) {
+    switch(true);
+    let mut a_out = a();
+    switch(false);
+    let mut b_out = b();
+    let (mut a_ms, mut b_ms) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..25 * reps {
+        switch(true);
+        let t0 = Instant::now();
+        a_out = a();
+        a_ms = a_ms.min(t0.elapsed().as_secs_f64() * 1e3);
+        switch(false);
+        let t0 = Instant::now();
+        b_out = b();
+        b_ms = b_ms.min(t0.elapsed().as_secs_f64() * 1e3);
+    }
+    ((a_ms, a_out), (b_ms, b_out))
+}
 
-    let mut r = rng::seeded(701);
+/// Overhead of a process-wide serving hook: the fused serving burst (tiny
+/// ResNet, 8 inputs drawn from `input_seed`) with the hook switched off as
+/// the baseline vs switched on, interleaved. The "speedup" is the off/on
+/// wall-time ratio — expected within timing noise of 1.0x; it *dropping*
+/// means the enabled hook got more expensive, which is exactly what the
+/// CI gate's one-sided slowdown check catches. Both modes must stay
+/// bit-identical to sequential reference execution (`max_abs_diff`
+/// exactly 0 is the correctness gate: a hook must never perturb the
+/// arithmetic).
+fn bench_overhead(
+    entries: &mut Vec<Entry>,
+    reps: usize,
+    name: &str,
+    input_seed: u64,
+    switch: impl Fn(bool),
+) {
+    let (net, weights, program) = tiny_resnet(8, 7);
+    let analog = a9adc8();
+
+    let mut r = rng::seeded(input_seed);
     let xs: Vec<Tensor> = (0..8)
         .map(|_| init::uniform(&[1, 3, 16, 16], -1.0, 1.0, &mut r))
         .collect();
-    let seq: Vec<Tensor> = xs
-        .iter()
-        .map(|x| {
-            program
-                .forward_reference(&weights, true, analog, x)
-                .expect("reference executes")
-                .0
-        })
-        .collect();
+    let seq = reference_outputs(&program, &weights, analog, &xs);
 
     let cache = PlanCache::new();
     cache.warm_network(&net).expect("cache warms");
     let (engine, id) = burst_fleet(&cache, &net, &weights, (16, 16), analog);
     let serve = || serve_burst(&engine, id, &xs);
-    // Alternate enabled/disabled serves in one loop so a load spike hits
-    // both modes the same way (same discipline as `bench_network`).
-    epim::obs::set_enabled(true);
-    let mut traced_out = serve();
-    epim::obs::set_enabled(false);
-    let mut plain_out = serve();
-    let (mut traced_ms, mut plain_ms) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..25 * reps {
-        epim::obs::set_enabled(true);
-        let t0 = Instant::now();
-        traced_out = serve();
-        traced_ms = traced_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-        epim::obs::set_enabled(false);
-        let t0 = Instant::now();
-        plain_out = serve();
-        plain_ms = plain_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    let diff_vs_seq = |served: &[Tensor]| {
-        seq.iter()
-            .zip(served)
-            .map(|(a, b)| max_abs_diff(a.data(), b.data()))
-            .fold(0.0, f64::max)
-    };
-    entries.push(Entry {
-        name: "tracing_overhead_serve_burst8".to_string(),
-        baseline_ms: plain_ms,
-        optimized_ms: traced_ms,
-        speedup: plain_ms / traced_ms,
-        max_abs_diff: diff_vs_seq(&traced_out).max(diff_vs_seq(&plain_out)),
-    });
+    let ((on_ms, on_out), (off_ms, off_out)) = interleaved_best(reps, switch, serve, serve);
+    let diff = burst_diff(&seq, &on_out).max(burst_diff(&seq, &off_out));
+    entries.push(Entry::timed(name, off_ms, on_ms, diff));
 }
 
-/// Fault-harness overhead: the fused serving burst with no fault plan
-/// installed (one relaxed atomic load per injection point) as the
-/// baseline vs the same burst with a plan installed whose rules never
-/// fire — the "armed but silent" worst case of the always-on cost, since
-/// every hook now takes the slow path through per-point hit accounting.
-/// The "speedup" is the disabled/armed wall-time ratio — expected within
-/// timing noise of 1.0x. Both modes must stay bit-identical to
-/// sequential reference execution (`max_abs_diff` exactly 0 is the
-/// correctness gate: an armed harness must never perturb the
-/// arithmetic).
+/// Observability overhead: tracing disabled (one relaxed atomic load per
+/// hook) vs the trace ring recording every span. The absolute perf of the
+/// disabled path is separately gated by `network_fused_resnet_burst8`,
+/// whose serve runs through the same (disabled) hooks.
+fn bench_tracing(entries: &mut Vec<Entry>, reps: usize) {
+    bench_overhead(
+        entries,
+        reps,
+        "tracing_overhead_serve_burst8",
+        701,
+        epim::obs::set_enabled,
+    );
+}
+
+/// Fault-harness overhead: no fault plan installed (one relaxed atomic load
+/// per injection point) vs a plan installed whose rules never fire — the
+/// "armed but silent" worst case of the always-on cost, since every hook
+/// then takes the slow path through per-point hit accounting.
 fn bench_faults(entries: &mut Vec<Entry>, reps: usize) {
     use epim::faults::{FaultPlan, FaultRule, ALL_POINTS};
-    let (net, _) = zoo::tiny_epitome_network(8, 8, 10).expect("legal spec");
-    let weights = NetworkWeights::random(&net, 7).expect("weights build");
-    let analog = AnalogModel {
-        adc_bits: Some(8),
-        dac_bits: Some(9),
-        ..AnalogModel::ideal()
-    };
-    let program = net.lower(16, 16).expect("lowers");
-
-    let mut r = rng::seeded(901);
-    let xs: Vec<Tensor> = (0..8)
-        .map(|_| init::uniform(&[1, 3, 16, 16], -1.0, 1.0, &mut r))
-        .collect();
-    let seq: Vec<Tensor> = xs
-        .iter()
-        .map(|x| {
-            program
-                .forward_reference(&weights, true, analog, x)
-                .expect("reference executes")
-                .0
-        })
-        .collect();
-
-    let cache = PlanCache::new();
-    cache.warm_network(&net).expect("cache warms");
-    let (engine, id) = burst_fleet(&cache, &net, &weights, (16, 16), analog);
-    let serve = || serve_burst(&engine, id, &xs);
-    let arm = || {
-        let mut plan = FaultPlan::new(42);
-        for point in ALL_POINTS {
-            plan = plan.with_rule(point, FaultRule::never());
+    let switch = |armed: bool| {
+        if armed {
+            let mut plan = FaultPlan::new(42);
+            for point in ALL_POINTS {
+                plan = plan.with_rule(point, FaultRule::never());
+            }
+            epim::faults::install(plan);
+        } else {
+            epim::faults::clear();
         }
-        epim::faults::install(plan);
     };
-    // Alternate armed/disabled serves in one loop so a load spike hits
-    // both modes the same way (same discipline as `bench_tracing`).
-    arm();
-    let mut armed_out = serve();
-    epim::faults::clear();
-    let mut plain_out = serve();
-    let (mut armed_ms, mut plain_ms) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..25 * reps {
-        arm();
-        let t0 = Instant::now();
-        armed_out = serve();
-        armed_ms = armed_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-        epim::faults::clear();
-        let t0 = Instant::now();
-        plain_out = serve();
-        plain_ms = plain_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    let diff_vs_seq = |served: &[Tensor]| {
-        seq.iter()
-            .zip(served)
-            .map(|(a, b)| max_abs_diff(a.data(), b.data()))
-            .fold(0.0, f64::max)
-    };
-    entries.push(Entry {
-        name: "faults_overhead_serve_burst8".to_string(),
-        baseline_ms: plain_ms,
-        optimized_ms: armed_ms,
-        speedup: plain_ms / armed_ms,
-        max_abs_diff: diff_vs_seq(&armed_out).max(diff_vs_seq(&plain_out)),
-    });
+    bench_overhead(entries, reps, "faults_overhead_serve_burst8", 901, switch);
 }
 
 /// Multi-network tenancy: two epitome networks served as tenants of one
@@ -786,17 +737,9 @@ fn bench_faults(entries: &mut Vec<Entry>, reps: usize) {
 /// bursts. Outputs must be bit-identical per tenant (`max_abs_diff`
 /// exactly 0 is the correctness gate).
 fn bench_tenancy(entries: &mut Vec<Entry>, reps: usize) {
-    let (net_a, _) = zoo::tiny_epitome_network(8, 8, 10).expect("legal spec");
-    let (net_b, _) = zoo::tiny_epitome_network(8, 4, 10).expect("legal spec");
-    let weights_a = NetworkWeights::random(&net_a, 7).expect("weights build");
-    let weights_b = NetworkWeights::random(&net_b, 8).expect("weights build");
-    let analog = AnalogModel {
-        adc_bits: Some(8),
-        dac_bits: Some(9),
-        ..AnalogModel::ideal()
-    };
-    let prog_a = net_a.lower(16, 16).expect("lowers");
-    let prog_b = net_b.lower(16, 16).expect("lowers");
+    let (net_a, weights_a, prog_a) = tiny_resnet(8, 7);
+    let (net_b, weights_b, prog_b) = tiny_resnet(4, 8);
+    let analog = a9adc8();
 
     let mut r = rng::seeded(501);
     let xs_a: Vec<Tensor> = (0..8)
@@ -807,20 +750,9 @@ fn bench_tenancy(entries: &mut Vec<Entry>, reps: usize) {
         .collect();
 
     let (baseline_ms, seq) = time_best(reps, || {
-        let run = |prog: &epim::models::lower::NetworkProgram,
-                   weights: &NetworkWeights,
-                   xs: &[Tensor]| {
-            xs.iter()
-                .map(|x| {
-                    prog.forward_reference(weights, true, analog, x)
-                        .expect("reference executes")
-                        .0
-                })
-                .collect::<Vec<_>>()
-        };
         (
-            run(&prog_a, &weights_a, &xs_a),
-            run(&prog_b, &weights_b, &xs_b),
+            reference_outputs(&prog_a, &weights_a, analog, &xs_a),
+            reference_outputs(&prog_b, &weights_b, analog, &xs_b),
         )
     });
 
@@ -836,42 +768,21 @@ fn bench_tenancy(entries: &mut Vec<Entry>, reps: usize) {
     let engine = builder.build().expect("engine builds");
     let (optimized_ms, served) = time_best(reps, || {
         std::thread::scope(|scope| {
-            let ha = scope.spawn(|| {
-                engine
-                    .infer_many(id_a, xs_a.clone())
-                    .expect("burst accepted")
-                    .into_iter()
-                    .map(|res| res.expect("inference succeeds").output)
-                    .collect::<Vec<_>>()
-            });
-            let hb = scope.spawn(|| {
-                engine
-                    .infer_many(id_b, xs_b.clone())
-                    .expect("burst accepted")
-                    .into_iter()
-                    .map(|res| res.expect("inference succeeds").output)
-                    .collect::<Vec<_>>()
-            });
+            let ha = scope.spawn(|| serve_burst(&engine, id_a, &xs_a));
+            let hb = scope.spawn(|| serve_burst(&engine, id_b, &xs_b));
             (
                 ha.join().expect("tenant a client"),
                 hb.join().expect("tenant b client"),
             )
         })
     });
-    let diff_of = |want: &[Tensor], got: &[Tensor]| {
-        want.iter()
-            .zip(got)
-            .map(|(a, b)| max_abs_diff(a.data(), b.data()))
-            .fold(0.0, f64::max)
-    };
-    let diff = diff_of(&seq.0, &served.0).max(diff_of(&seq.1, &served.1));
-    entries.push(Entry {
-        name: "multi_tenant_two_networks_burst8".to_string(),
+    let diff = burst_diff(&seq.0, &served.0).max(burst_diff(&seq.1, &served.1));
+    entries.push(Entry::timed(
+        "multi_tenant_two_networks_burst8",
         baseline_ms,
         optimized_ms,
-        speedup: baseline_ms / optimized_ms,
-        max_abs_diff: diff,
-    });
+        diff,
+    ));
 }
 
 /// Fork-join dispatch: the seed's per-call scoped-thread spawn vs the
@@ -912,13 +823,12 @@ fn bench_pool(entries: &mut Vec<Entry>, reps: usize) {
     let (optimized_ms, _) = time_best(reps, || {
         epim_parallel::for_each_chunk_mut(&mut data, CHUNK, work)
     });
-    entries.push(Entry {
-        name: "pool_fork_join_vs_scoped_spawn".to_string(),
+    entries.push(Entry::timed(
+        "pool_fork_join_vs_scoped_spawn",
         baseline_ms,
         optimized_ms,
-        speedup: baseline_ms / optimized_ms,
-        max_abs_diff: 0.0,
-    });
+        0.0,
+    ));
 }
 
 /// The epim-simd vectorized serving stages vs the scalar implementations
@@ -979,13 +889,12 @@ fn bench_simd_ops(entries: &mut Vec<Entry>, reps: usize) {
     };
     let (baseline_ms, y_base) = time_best(reps, || seed_max_pool(&x, cfg));
     let (optimized_ms, y_opt) = time_best(reps, || max_pool2d(&x, cfg).expect("geometry"));
-    entries.push(Entry {
-        name: "maxpool_3x3s2".to_string(),
+    entries.push(Entry::timed(
+        "maxpool_3x3s2",
         baseline_ms,
         optimized_ms,
-        speedup: baseline_ms / optimized_ms,
-        max_abs_diff: max_abs_diff(y_base.data(), y_opt.data()),
-    });
+        max_abs_diff(y_base.data(), y_opt.data()),
+    ));
 
     // Global average pooling: one latency-bound scalar sum chain per
     // channel (the pre-SIMD loop) vs one channel per vector lane.
@@ -1007,26 +916,24 @@ fn bench_simd_ops(entries: &mut Vec<Entry>, reps: usize) {
     };
     let (baseline_ms, y_base) = time_best(reps, || seed_gap(&x));
     let (optimized_ms, y_opt) = time_best(reps, || global_avg_pool(&x).expect("geometry"));
-    entries.push(Entry {
-        name: "global_avg_pool".to_string(),
+    entries.push(Entry::timed(
+        "global_avg_pool",
         baseline_ms,
         optimized_ms,
-        speedup: baseline_ms / optimized_ms,
-        max_abs_diff: max_abs_diff(y_base.data(), y_opt.data()),
-    });
+        max_abs_diff(y_base.data(), y_opt.data()),
+    ));
 
     // Softmax over classifier logits: `softmax_rows_scalar` (the retained
     // scalar reference, lanewise-identical exp) vs the vectorized passes.
     let x = init::uniform(&[8, 1000], -5.0, 5.0, &mut r);
     let (baseline_ms, y_base) = time_best(reps, || softmax_rows_scalar(&x).expect("rank 2"));
     let (optimized_ms, y_opt) = time_best(reps, || softmax_rows(&x).expect("rank 2"));
-    entries.push(Entry {
-        name: "softmax_rows_8x1000".to_string(),
+    entries.push(Entry::timed(
+        "softmax_rows_8x1000",
         baseline_ms,
         optimized_ms,
-        speedup: baseline_ms / optimized_ms,
-        max_abs_diff: max_abs_diff(y_base.data(), y_opt.data()),
-    });
+        max_abs_diff(y_base.data(), y_opt.data()),
+    ));
 
     // Epitome replay: the pre-SIMD run loop (one `copy_from_slice` call
     // per contiguous kx run — ~590k two-float memcpys for this spec) vs
@@ -1073,13 +980,12 @@ fn bench_simd_ops(entries: &mut Vec<Entry>, reps: usize) {
     };
     let (baseline_ms, y_base) = time_best(reps, pre_pr_reconstruct);
     let (optimized_ms, y_opt) = time_best(reps, || epi.reconstruct().expect("reconstructs"));
-    entries.push(Entry {
-        name: "epitome_reconstruct".to_string(),
+    entries.push(Entry::timed(
+        "epitome_reconstruct",
         baseline_ms,
         optimized_ms,
-        speedup: baseline_ms / optimized_ms,
-        max_abs_diff: max_abs_diff(y_base.data(), y_opt.data()),
-    });
+        max_abs_diff(y_base.data(), y_opt.data()),
+    ));
 }
 
 /// Sentinel `max_abs_diff` for informational entries that carry no numeric
@@ -1142,14 +1048,7 @@ fn bench_serve_tcp(entries: &mut Vec<Entry>, reps: usize) {
         .map(|_| init::uniform(&INPUT_SHAPE, -1.0, 1.0, &mut r))
         .collect();
 
-    let (baseline_ms, inproc) = time_best(reps, || {
-        reference
-            .infer_many(tid, xs.clone())
-            .expect("burst accepted")
-            .into_iter()
-            .map(|res| res.expect("inference succeeds").output)
-            .collect::<Vec<_>>()
-    });
+    let (baseline_ms, inproc) = time_best(reps, || serve_burst(&reference, tid, &xs));
 
     let mut client = Client::connect(&addr).expect("connect");
     let (optimized_ms, wire_out) = time_best(reps, || {
@@ -1167,18 +1066,12 @@ fn bench_serve_tcp(entries: &mut Vec<Entry>, reps: usize) {
             .collect::<Vec<Tensor>>()
     });
     client.close().expect("orderly close");
-    let diff = inproc
-        .iter()
-        .zip(&wire_out)
-        .map(|(a, b)| max_abs_diff(a.data(), b.data()))
-        .fold(0.0, f64::max);
-    entries.push(Entry {
-        name: "serve_tcp_resnet_burst8".to_string(),
+    entries.push(Entry::timed(
+        "serve_tcp_resnet_burst8",
         baseline_ms,
         optimized_ms,
-        speedup: baseline_ms / optimized_ms,
-        max_abs_diff: diff,
-    });
+        burst_diff(&inproc, &wire_out),
+    ));
 
     // --- Closed-loop load: throughput retained + latency percentiles. ---
     // Each connection replays a deterministic schedule round-robining the
@@ -1297,6 +1190,11 @@ fn bench_serve_tcp(entries: &mut Vec<Entry>, reps: usize) {
 /// A >25% relative slowdown (in speedup-over-seed terms) fails the gate.
 const SLOWDOWN_TOLERANCE: f64 = 1.25;
 
+/// Largest `max_abs_diff` a non-identity, non-informational entry may read:
+/// a reordered f32 summation stays well below it (the largest seen is
+/// ~3e-5, on `gemm_512x512x512`), a wrong kernel lands far above it.
+const DIFF_TOLERANCE: f64 = 1e-4;
+
 /// Compares a fresh report against the committed baseline, returning one
 /// message per violated gate (empty = pass).
 fn regressions(baseline: &Report, fresh: &Report) -> Vec<String> {
@@ -1321,6 +1219,13 @@ fn regressions(baseline: &Report, fresh: &Report) -> Vec<String> {
         if base.max_abs_diff == 0.0 && now.max_abs_diff != 0.0 {
             problems.push(format!(
                 "{}: bit-identity gate broken (max|diff| {} was exactly 0 in the baseline)",
+                base.name, now.max_abs_diff
+            ));
+        } else if base.max_abs_diff != INFORMATIONAL_DIFF
+            && (now.max_abs_diff.is_nan() || now.max_abs_diff > DIFF_TOLERANCE)
+        {
+            problems.push(format!(
+                "{}: outputs diverged (max|diff| {} exceeds {DIFF_TOLERANCE:e})",
                 base.name, now.max_abs_diff
             ));
         }
@@ -1470,5 +1375,93 @@ fn main() {
             eprintln!("  - {p}");
         }
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn entry(name: &str, speedup: f64, max_abs_diff: f64) -> Entry {
+        Entry {
+            name: name.to_string(),
+            baseline_ms: speedup,
+            optimized_ms: 1.0,
+            speedup,
+            max_abs_diff,
+        }
+    }
+
+    fn report(entries: Vec<Entry>) -> Report {
+        Report {
+            schema_version: 1,
+            generated_by: "test".to_string(),
+            num_threads: 1,
+            entries,
+        }
+    }
+
+    /// One entry of each kind: tolerance-bounded, identity, informational.
+    fn baseline() -> Report {
+        report(vec![
+            entry("gemm", 4.0, 3e-5),
+            entry("identity", 2.0, 0.0),
+            entry("qps", 1.0, INFORMATIONAL_DIFF),
+        ])
+    }
+
+    #[test]
+    fn identical_run_passes() {
+        assert!(regressions(&baseline(), &baseline()).is_empty());
+    }
+
+    #[test]
+    fn missing_entry_fails() {
+        let mut fresh = baseline();
+        fresh.entries.retain(|e| e.name != "qps");
+        let problems = regressions(&baseline(), &fresh);
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(
+            problems[0].starts_with("qps: entry missing"),
+            "{problems:?}"
+        );
+    }
+
+    #[test]
+    fn identity_break_fails() {
+        let mut fresh = baseline();
+        fresh.entries[1].max_abs_diff = 1e-9;
+        let problems = regressions(&baseline(), &fresh);
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(problems[0].starts_with("identity: bit-identity gate broken"));
+    }
+
+    #[test]
+    fn speedup_below_floor_fails() {
+        let mut fresh = baseline();
+        // The floor is 4.0 / 1.25 = 3.2; exactly at it passes, below fails.
+        fresh.entries[0].speedup = 3.2;
+        assert!(regressions(&baseline(), &fresh).is_empty());
+        fresh.entries[0].speedup = 3.1;
+        let problems = regressions(&baseline(), &fresh);
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(problems[0].starts_with("gemm: speedup regressed"));
+    }
+
+    #[test]
+    fn diff_above_tolerance_fails_non_identity_entries() {
+        let mut fresh = baseline();
+        fresh.entries[0].max_abs_diff = DIFF_TOLERANCE;
+        assert!(regressions(&baseline(), &fresh).is_empty());
+        for bad in [1.0, 2e-4, f64::NAN] {
+            fresh.entries[0].max_abs_diff = bad;
+            let problems = regressions(&baseline(), &fresh);
+            assert_eq!(problems.len(), 1, "{bad}: {problems:?}");
+            assert!(problems[0].starts_with("gemm: outputs diverged"));
+        }
+        // Informational entries carry no comparison to bound.
+        let mut fresh = baseline();
+        fresh.entries[2].max_abs_diff = 1.0;
+        assert!(regressions(&baseline(), &fresh).is_empty());
     }
 }

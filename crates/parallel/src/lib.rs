@@ -6,7 +6,7 @@
 //! for rayon later without changing call sites much).
 //!
 //! Since the runtime PR, the helpers run on a **persistent worker pool**
-//! ([`pool`]): `num_threads() - 1` workers are spawned once, park on a
+//! (`pool`): `num_threads() - 1` workers are spawned once, park on a
 //! condvar between jobs, and are woken for each fork-join region. The seed
 //! spawned scoped threads per call, whose creation cost kept small kernels
 //! below the parallel threshold; with parked workers a dispatch costs two
@@ -44,8 +44,7 @@ use std::sync::Mutex;
 
 /// Number of worker threads to use.
 ///
-/// `EPIM_THREADS` overrides (the canonical knob; `EPIM_NUM_THREADS` is
-/// still honored as an alias), clamped to at least 1 so `EPIM_THREADS=0`
+/// `EPIM_THREADS` overrides, clamped to at least 1 so `EPIM_THREADS=0`
 /// means "serial" rather than "invalid"; otherwise the machine's available
 /// parallelism. Read once and cached — the pool is sized from it.
 pub fn num_threads() -> usize {
@@ -55,7 +54,6 @@ pub fn num_threads() -> usize {
         return cached;
     }
     let n = std::env::var("EPIM_THREADS")
-        .or_else(|_| std::env::var("EPIM_NUM_THREADS"))
         .ok()
         .and_then(|s| s.parse::<usize>().ok())
         .map(|n| n.max(1))

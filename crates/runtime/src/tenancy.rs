@@ -224,7 +224,8 @@ impl MultiEngineBuilder {
 
 /// A multi-tenant serving engine: a fleet of compiled [`NetworkPlan`]s
 /// behind one weighted-fair scheduler, sharing one [`PlanCache`] and one
-/// worker pool. See the [module docs](self) for the guarantees.
+/// worker pool. Each tenant's outputs are bit-identical to sequential
+/// reference execution of its unoptimized program.
 pub struct MultiEngine {
     scheduler: Scheduler,
     fleet: u64,

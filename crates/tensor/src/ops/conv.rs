@@ -5,9 +5,8 @@
 //! [`im2col`], then runs one stride-aware GEMM per image directly into the
 //! `NCHW` output buffer (`out[n] = W_mat · cols_nᵀ + bias`), with the bias
 //! folded into the GEMM epilogue — there is no separate output-rearrange or
-//! bias pass. Two reference implementations stay available for tests and
-//! benchmarks: [`conv2d_direct`] (naive 7-loop) and [`conv2d_ref`] (the
-//! seed's unfused im2col → matmul → rearrange pipeline).
+//! bias pass. [`conv2d_direct`] (naive 7-loop) is the one reference
+//! implementation, kept for tests.
 
 use crate::ops::gemm;
 use crate::{Tensor, TensorError};
@@ -487,47 +486,6 @@ pub fn conv2d_into(
     Ok(())
 }
 
-/// The seed's unfused convolution pipeline (im2col → matmul → rearrange),
-/// kept as a cross-check for the fused path and as the benchmark baseline.
-///
-/// The per-channel bias lookup is hoisted out of the pixel loop (the seed
-/// resolved `bias[co]` once per output *pixel*).
-///
-/// # Errors
-///
-/// Same contract as [`conv2d`].
-pub fn conv2d_ref(
-    x: &Tensor,
-    weight: &Tensor,
-    bias: Option<&Tensor>,
-    cfg: Conv2dCfg,
-) -> Result<Tensor, TensorError> {
-    check_conv_operands(x, weight, bias)?;
-    let (n, c_in, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
-    let (c_out, kh, kw) = (weight.shape()[0], weight.shape()[2], weight.shape()[3]);
-    let (oh, ow) = conv2d_out_dims(h, w, kh, kw, cfg)?;
-    let cols = im2col(x, kh, kw, cfg)?;
-    let wmat = weight.reshape(&[c_out, c_in * kh * kw])?;
-    let out_mat = cols.matmul(&wmat.transpose()?)?; // (N*OH*OW, C_out)
-
-    // Rearrange (N*OH*OW, C_out) -> (N, C_out, OH, OW), adding bias.
-    let mut out = Tensor::zeros(&[n, c_out, oh, ow]);
-    let od = out.data_mut();
-    let md = out_mat.data();
-    for ni in 0..n {
-        for co in 0..c_out {
-            // Hoisted: one bias resolve per (image, channel) plane.
-            let b = bias.map(|bb| bb.data()[co]).unwrap_or(0.0);
-            let plane = &mut od[(ni * c_out + co) * oh * ow..(ni * c_out + co + 1) * oh * ow];
-            for (p, slot) in plane.iter_mut().enumerate() {
-                let row = ni * oh * ow + p;
-                *slot = md[row * c_out + co] + b;
-            }
-        }
-    }
-    Ok(out)
-}
-
 /// Naive 7-loop direct convolution — the ground-truth reference for
 /// property tests (no im2col, no GEMM, f32 accumulation in source order).
 ///
@@ -771,8 +729,8 @@ mod tests {
             },
         ] {
             let fused = conv2d(&x, &w, Some(&b), cfg).unwrap();
-            let unfused = conv2d_ref(&x, &w, Some(&b), cfg).unwrap();
-            assert!(fused.allclose(&unfused, 1e-4).unwrap(), "cfg {cfg:?}");
+            let direct = conv2d_direct(&x, &w, Some(&b), cfg).unwrap();
+            assert!(fused.allclose(&direct, 1e-4).unwrap(), "cfg {cfg:?}");
         }
     }
 
@@ -880,7 +838,6 @@ mod tests {
         let x = Tensor::zeros(&[1, 3, 5, 5]);
         let w = Tensor::zeros(&[2, 4, 3, 3]);
         assert!(conv2d(&x, &w, None, Conv2dCfg::default()).is_err());
-        assert!(conv2d_ref(&x, &w, None, Conv2dCfg::default()).is_err());
         assert!(conv2d_direct(&x, &w, None, Conv2dCfg::default()).is_err());
     }
 

@@ -18,7 +18,7 @@ pub use activation::{
     softmax_rows_scalar,
 };
 pub use conv::{
-    col2im, conv2d, conv2d_backward, conv2d_direct, conv2d_into, conv2d_out_dims, conv2d_ref,
+    col2im, conv2d, conv2d_backward, conv2d_direct, conv2d_into, conv2d_out_dims,
     fill_receptive_field, im2col, kx_run, Conv2dCfg, Conv2dGrads,
 };
 pub use linear::{linear, linear_backward, LinearGrads};
